@@ -19,7 +19,7 @@ from .models import (ConnectionModel, ModelValidationReport, connection_radius,
 from .sampler import (CoupledSample, NetworkSample, SampleParams, build_graph,
                       couple_torus_to_square, sample_points, thin_edges,
                       truncation_bias, write_edge_list)
-from .analysis import (TrialRecord, UnionFind, components, coupled_statistics,
+from .analysis import (TrialRecord, components, coupled_statistics,
                        isolated_count, trial_statistics)
 from .theory import (ChenSteinParams, DiscreteDistribution, TheoryReport,
                      asymptotic_report, chen_stein_terms, chen_stein_tv_bound,
@@ -46,7 +46,6 @@ __all__ = [
     "SampleParams",
     "TheoryReport",
     "TrialRecord",
-    "UnionFind",
     "asymptotic_report",
     "build_graph",
     "chen_stein_terms",

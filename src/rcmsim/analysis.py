@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .sampler import CoupledSample, NetworkSample
 
@@ -33,54 +35,22 @@ class TrialRecord:
     isolated_boundary: int | None = None
 
 
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_components = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.n_components -= 1
-
-
 def isolated_count(sample: NetworkSample) -> int:
     """Number of degree-zero nodes."""
-    if sample.n_points == 0:
-        return 0
     return int(np.count_nonzero(sample.degrees() == 0))
 
 
 def components(sample: NetworkSample) -> tuple[int, bool]:
     """(number of connected components, whether the graph is connected).
 
-    Deterministic given the sorted edge list.  Empty and singleton graphs
-    count as connected.
+    Empty and singleton graphs count as connected.
     """
     n = sample.n_points
-    if n == 0:
-        return 0, True
-    uf = UnionFind(n)
-    for i, j in sample.edges:
-        uf.union(int(i), int(j))
-    return uf.n_components, uf.n_components <= 1
+    edges = sample.edges
+    graph = coo_matrix((np.ones(edges.shape[0], dtype=np.int8),
+                        (edges[:, 0], edges[:, 1])), shape=(n, n))
+    count = int(connected_components(graph, directed=False, return_labels=False))
+    return count, count <= 1
 
 
 def trial_statistics(sample: NetworkSample) -> TrialRecord:

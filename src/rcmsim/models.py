@@ -187,7 +187,7 @@ def log_normal(sigma_db: float, eta: float, cutoff_eps: float = TRUNCATION_EPS) 
 
     cutoff = _bisect_cutoff(raw, cutoff_eps)
     value, err = _quad_radial(raw, 0.0, cutoff)
-    tail, tail_err = _quad_radial_tail(raw, cutoff)
+    tail, tail_err = _quad_radial(raw, cutoff, math.inf, strict=False)
     model = ConnectionModel(
         kind="log_normal",
         cutoff=cutoff,
@@ -228,8 +228,7 @@ def table_model(knots, cutoff_eps: float = TRUNCATION_EPS) -> ConnectionModel:
         def raw(x: float) -> float:
             return float(np.interp(x, radii, values))
 
-        value, err = _quad_radial(raw, 0.0, cutoff, points=radii)
-        C, C_error = value, err
+        C, C_error = _quad_radial(raw, 0.0, cutoff, points=radii)
     else:
         # no radius reaches the epsilon: the clamped profile keeps a
         # constant plateau forever, so probe the partial integrals
@@ -284,10 +283,7 @@ def integral_C(model: ConnectionModel, force_quadrature: bool = False) -> float:
     def raw(x: float) -> float:
         return float(model.g(x))
 
-    points = model.radii if model.kind == "table" else None
-    value, err = _quad_radial(raw, 0.0, model.cutoff, points=points)
-    if err > 1e-6:
-        raise QuadratureError("radial integral did not converge", estimate=err)
+    value, _ = _quad_radial(raw, 0.0, model.cutoff, points=model.radii or ())
     return value
 
 
@@ -304,7 +300,7 @@ def tail_integral(model: ConnectionModel) -> float:
     def raw(x: float) -> float:
         return float(model.g_raw(x))
 
-    tail, _ = _quad_radial_tail(raw, model.cutoff)
+    tail, _ = _quad_radial(raw, model.cutoff, math.inf, strict=False)
     return tail
 
 
@@ -421,31 +417,24 @@ def _table_cutoff(radii, values, eps: float) -> float:
     return math.inf
 
 
-def _quad_radial(raw, a: float, b: float, points=None) -> tuple[float, float]:
-    """Adaptive quadrature of 2 pi x raw(x) over [a, b]."""
+def _quad_radial(raw, a: float, b: float, points=(), strict: bool = True
+                 ) -> tuple[float, float]:
+    """Adaptive quadrature of 2 pi x raw(x) over [a, b]; b may be inf.
+
+    Break points inside (a, b) split the range (finite b only).  With
+    `strict`, an error estimate above 1e-6 raises QuadratureError; the
+    tail mass and the divergence probe take the estimate as it comes.
+    """
     def f(x: float) -> float:
         return 2.0 * math.pi * x * raw(x)
 
-    pts = None
-    if points is not None:
-        pts = [p for p in points if a < p < b]
-        pts = pts or None
+    pts = [p for p in points if a < p < b] or None
     # QUADPACK wants strictly more subintervals than break points
     limit = QUAD_LIMIT if pts is None else max(QUAD_LIMIT, 2 * len(pts) + 10)
     value, err = integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-12,
                                 limit=limit, points=pts)
-    if err > 1e-6:
+    if strict and err > 1e-6:
         raise QuadratureError("radial integral did not converge", estimate=err)
-    return value, err
-
-
-def _quad_radial_tail(raw, cutoff: float) -> tuple[float, float]:
-    """Quadrature of 2 pi x raw(x) over [cutoff, inf): the truncated mass."""
-    def f(x: float) -> float:
-        return 2.0 * math.pi * x * raw(x)
-
-    value, err = integrate.quad(f, cutoff, np.inf, epsabs=QUAD_ABS_TOL, epsrel=1e-12,
-                                limit=QUAD_LIMIT)
     return max(value, 0.0), err
 
 
@@ -460,10 +449,10 @@ def _diverging_radial_integral(radii, values) -> tuple[float, float]:
         return float(np.interp(x, radii, values))
 
     upper = max(1.0, 2.0 * radii[-1])
-    total, err = _quad_radial_safe(raw, 0.0, upper, radii)
+    total, err = _quad_radial(raw, 0.0, upper, radii, strict=False)
     violations = 0
     for _ in range(64):
-        delta, derr = _quad_radial_safe(raw, upper, 2.0 * upper, radii)
+        delta, derr = _quad_radial(raw, upper, 2.0 * upper, radii, strict=False)
         upper *= 2.0
         total += delta
         err += derr
@@ -474,15 +463,3 @@ def _diverging_radial_integral(radii, values) -> tuple[float, float]:
         else:
             return total, err
     return math.inf, math.inf
-
-
-def _quad_radial_safe(raw, a, b, points) -> tuple[float, float]:
-    # like _quad_radial but tolerant: divergence probing must not raise
-    def f(x: float) -> float:
-        return 2.0 * math.pi * x * raw(x)
-
-    pts = [p for p in points if a < p < b] or None
-    limit = QUAD_LIMIT if pts is None else max(QUAD_LIMIT, 2 * len(pts) + 10)
-    value, err = integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-12,
-                                limit=limit, points=pts)
-    return value, err

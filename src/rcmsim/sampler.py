@@ -9,8 +9,11 @@ r = connection_radius(C, rho, b).  All randomness is counter-based
 
 Pair enumeration uses a bucket grid with cell size >= r * cutoff and a
 3x3 neighborhood scan (wrapping on the torus), which is exhaustive
-because the truncated kernel vanishes beyond r * cutoff.  A brute-force
-O(n^2) path covers degenerate grids and serves as the oracle in tests.
+because the truncated kernel vanishes beyond r * cutoff.  When fewer than
+three cells fit on a side the grid is a single cell, whose same-cell
+triangle lists every pair; there is no separate O(n^2) path.  Candidate
+pairs are realized in slices of fixed size, so memory stays bounded for
+any density and kernel support.
 """
 
 from __future__ import annotations
@@ -23,11 +26,16 @@ import numpy as np
 from . import models as _models
 from . import streams
 from .errors import ModelError, ParameterError
-from .geometry import LO, Metric, Point2, distance_arrays
+from .geometry import LO, Metric, distance_arrays
 
 # half of the 3x3 neighborhood: together with the same-cell triangle this
 # visits every unordered cell pair exactly once
 _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+# candidate pairs realized at once (a slice overshoots by at most one
+# source's run); smaller slices cost no measurable time, and at 2^20 a
+# Gaussian trial at rho 2000 still fit in one slice of about 66 MB
+_SLICE_PAIRS = 1 << 16
 
 _EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
 
@@ -82,13 +90,6 @@ class NetworkSample:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    @property
-    def r_rho(self) -> float:
-        return self.params.r
-
-    def point(self, i: int) -> Point2:
-        return Point2(float(self.points[i, 0]), float(self.points[i, 1]))
-
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n_points)
 
@@ -134,11 +135,11 @@ def build_graph(params: SampleParams, points: np.ndarray,
                 exact: bool = False) -> NetworkSample:
     """Realize the connection graph on the given points.
 
-    `exact` forces the O(n^2) pair scan.  The grid path requires
-    r * cutoff <= 1/2; on the square metric `exact=True` lifts that
-    restriction, on the torus larger ranges are rejected outright.
-    The two paths produce identical edge sets because each pair's uniform
-    depends only on (master_seed, trial_index, tag, i, j).
+    `exact` forces the 1x1 grid, so every pair is a candidate.  A finer
+    grid requires r * cutoff <= 1/2; on the square metric `exact=True`
+    lifts that restriction, on the torus larger ranges are rejected
+    outright.  Every grid produces the same edge set because each pair's
+    uniform depends only on (master_seed, trial_index, tag, i, j).
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 2:
@@ -157,19 +158,10 @@ def build_graph(params: SampleParams, points: np.ndarray,
                 f"r * cutoff = {reach:.4g} too large for the bucket grid; "
                 "pass exact=True for the O(n^2) scan"
             )
-    n = points.shape[0]
     key = streams.stream_key(params.master_seed, params.trial_index,
                              streams.TAG_EDGES)
-    if n < 2:
-        return NetworkSample(params, points, _EMPTY_EDGES.copy())
-
-    m = 0 if exact else _grid_side(reach, n)
-    if m < 3:
-        cand_i, cand_j = _all_pairs(n)
-        edges = _realize_edges(params, points, key, cand_i, cand_j)
-    else:
-        edges = _grid_edges(params, points, key, m, reach)
-    return NetworkSample(params, points, edges)
+    m = 1 if exact else _grid_side(reach, points.shape[0])
+    return NetworkSample(params, points, _grid_edges(params, points, key, m))
 
 
 def thin_edges(sample: NetworkSample, keep_ratio, stream_tag: int) -> NetworkSample:
@@ -272,112 +264,86 @@ def _write_edge_list(sample: NetworkSample, fh) -> None:
 
 
 def _grid_side(reach: float, n: int) -> int:
-    if reach <= 0.0:
-        return 0
-    m = int(1.0 / reach)
-    # more cells than points buys nothing
-    return max(1, min(m, 2 * int(math.isqrt(max(n, 1))) + 1, 4096))
-
-
-def _all_pairs(n: int):
-    if n > 4096:
-        # chunk the triangle to bound memory
-        blocks_i = []
-        blocks_j = []
-        for lo in range(0, n - 1, 2048):
-            hi = min(lo + 2048, n - 1)
-            ii, jj = np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij")
-            keep = jj > ii
-            blocks_i.append(ii[keep])
-            blocks_j.append(jj[keep])
-        return np.concatenate(blocks_i), np.concatenate(blocks_j)
-    ii, jj = np.triu_indices(n, k=1)
-    return ii.astype(np.int64), jj.astype(np.int64)
+    # more cells than points buys nothing; below three cells a side the
+    # wrapped half neighborhood would visit a cell twice, so use one cell
+    m = min(int(1.0 / reach), 2 * math.isqrt(n) + 1, 4096)
+    return m if m >= 3 else 1
 
 
 def _realize_edges(params: SampleParams, points: np.ndarray, key: int,
-                   cand_i: np.ndarray, cand_j: np.ndarray) -> np.ndarray:
-    """Distance-filter candidate pairs and flip their connection coins."""
-    if cand_i.size == 0:
-        return _EMPTY_EDGES.copy()
-    lo = np.minimum(cand_i, cand_j).astype(np.int64)
-    hi = np.maximum(cand_i, cand_j).astype(np.int64)
+                   cand_i: np.ndarray, cand_j: np.ndarray):
+    """Distance-filter candidate pairs and flip their connection coins;
+    returns the connected pairs as (lo, hi) index arrays."""
+    lo = np.minimum(cand_i, cand_j)
+    hi = np.maximum(cand_i, cand_j)
     d = distance_arrays(params.metric,
                         points[lo, 0], points[lo, 1],
                         points[hi, 0], points[hi, 1])
-    reach = params.r * params.model.cutoff
-    near = d <= reach
-    if not np.any(near):
-        return _EMPTY_EDGES.copy()
+    near = d <= params.r * params.model.cutoff
     lo, hi, d = lo[near], hi[near], d[near]
-    p = params.model.g(d / params.r)
-    u = streams.pair_uniform_array(key, lo, hi)
-    connected = u < p
-    edges = np.column_stack((lo[connected], hi[connected]))
-    if edges.shape[0] == 0:
-        return _EMPTY_EDGES.copy()
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return np.ascontiguousarray(edges[order])
+    connected = streams.pair_uniform_array(key, lo, hi) < params.model.g(d / params.r)
+    return lo[connected], hi[connected]
 
 
 def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
-                m: int, reach: float) -> np.ndarray:
+                m: int) -> np.ndarray:
+    """Edges over an m x m bucket grid, sorted lexicographically.
+
+    Every candidate run is (source point, first sorted position, count):
+    the source pairs with the next `count` points in cell order.  Same-cell
+    runs are the tails of each cell; cross-cell runs cover the half
+    neighborhood, which m >= 3 keeps free of repeated cells.
+    """
     n = points.shape[0]
-    wrap = params.metric is Metric.TORUS
     cx = np.clip(((points[:, 0] - LO) * m).astype(np.int64), 0, m - 1)
     cy = np.clip(((points[:, 1] - LO) * m).astype(np.int64), 0, m - 1)
     cell = cx * m + cy
     order = np.argsort(cell, kind="stable")
-    sorted_cell = cell[order]
-    starts = np.searchsorted(sorted_cell, np.arange(m * m + 1))
+    starts = np.searchsorted(cell[order], np.arange(m * m + 1))
 
-    cand_i = []
-    cand_j = []
-
-    # same-cell pairs: each sorted position pairs with the tail of its cell
     pos = np.arange(n)
-    cnt0 = starts[sorted_cell + 1] - pos - 1
-    total0 = int(cnt0.sum())
-    if total0:
-        rep_i = np.repeat(order, cnt0)
-        csum = np.concatenate(([0], np.cumsum(cnt0)))
-        within = np.arange(total0) - np.repeat(csum[:-1], cnt0)
-        rep_j = order[np.repeat(pos + 1, cnt0) + within]
-        cand_i.append(rep_i)
-        cand_j.append(rep_j)
-
-    # cross-cell pairs over the half neighborhood
-    for ox, oy in _HALF_OFFSETS:
+    src = [order]
+    first = [pos + 1]
+    count = [starts[cell[order] + 1] - pos - 1]
+    for ox, oy in (_HALF_OFFSETS if m > 1 else ()):
         tx = cx + ox
         ty = cy + oy
-        if wrap:
+        if params.metric is Metric.TORUS:
+            rows = pos
             tx %= m
             ty %= m
-            src = np.arange(n)
         else:
-            valid = (tx >= 0) & (tx < m) & (ty >= 0) & (ty < m)
-            if not np.any(valid):
-                continue
-            src = np.flatnonzero(valid)
-            tx, ty = tx[valid], ty[valid]
+            rows = np.flatnonzero((tx >= 0) & (tx < m) & (ty >= 0) & (ty < m))
+            tx, ty = tx[rows], ty[rows]
         target = tx * m + ty
-        cnt = starts[target + 1] - starts[target]
-        have = cnt > 0
-        if not np.any(have):
-            continue
-        src, target, cnt = src[have], target[have], cnt[have]
-        total = int(cnt.sum())
-        rep_i = np.repeat(src, cnt)
-        csum = np.concatenate(([0], np.cumsum(cnt)))
-        within = np.arange(total) - np.repeat(csum[:-1], cnt)
-        rep_j = order[np.repeat(starts[target], cnt) + within]
-        cand_i.append(rep_i)
-        cand_j.append(rep_j)
+        src.append(rows)
+        first.append(starts[target])
+        count.append(starts[target + 1] - starts[target])
+    lo, hi = _expand_runs(params, points, key, order, np.concatenate(src),
+                          np.concatenate(first), np.concatenate(count))
+    by_pair = np.lexsort((hi, lo))
+    return np.column_stack((lo[by_pair], hi[by_pair]))
 
-    if not cand_i:
-        return _EMPTY_EDGES.copy()
-    return _realize_edges(params, points, key,
-                          np.concatenate(cand_i), np.concatenate(cand_j))
+
+def _expand_runs(params: SampleParams, points: np.ndarray, key: int,
+                 order: np.ndarray, src: np.ndarray, first: np.ndarray,
+                 count: np.ndarray):
+    """Realize the pairs (src[k], order[first[k] + t]) for t < count[k],
+    about _SLICE_PAIRS candidates at a time; returns (lo, hi) arrays."""
+    offs = np.concatenate(([0], np.cumsum(count)))
+    cuts = np.searchsorted(offs, np.arange(_SLICE_PAIRS, offs[-1], _SLICE_PAIRS))
+    bounds = np.concatenate(([0], cuts, [count.size]))
+    lo_parts = []
+    hi_parts = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        runs = count[a:b]
+        cand_i = np.repeat(src[a:b], runs)
+        cand_j = order[np.repeat(first[a:b] - offs[a:b], runs)
+                       + np.arange(offs[a], offs[b])]
+        lo, hi = _realize_edges(params, points, key, cand_i, cand_j)
+        lo_parts.append(lo)
+        hi_parts.append(hi)
+    return np.concatenate(lo_parts), np.concatenate(hi_parts)
 
 
 def _edge_difference(superset: np.ndarray, subset: np.ndarray, n: int) -> np.ndarray:

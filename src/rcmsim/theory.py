@@ -203,21 +203,23 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     def edge_f(delta: float) -> float:
         return math.exp(-scale * k_edge(delta))
 
-    q_edge, e_err = integrate.quad(edge_f, 0.0, cutoff, epsabs=1e-12,
+    # relative tolerances only: at large density these integrals are far
+    # below any fixed absolute floor, which would end quad on its first pass
+    q_edge, e_err = integrate.quad(edge_f, 0.0, cutoff, epsabs=0.0,
                                    epsrel=OUTER_REL_TOL, limit=200)
 
     def corner_inner(d2: float):
         def f(d1: float) -> float:
             return math.exp(-scale * k_corner(d1, d2))
 
-        v, err = integrate.quad(f, 0.0, cutoff, epsabs=1e-12,
+        v, err = integrate.quad(f, 0.0, cutoff, epsabs=0.0,
                                 epsrel=OUTER_REL_TOL, limit=200)
         return v, err
 
     def corner_f(d2: float) -> float:
         return corner_inner(d2)[0]
 
-    q_corner, c2_err = integrate.quad(corner_f, 0.0, cutoff, epsabs=1e-12,
+    q_corner, c2_err = integrate.quad(corner_f, 0.0, cutoff, epsabs=0.0,
                                       epsrel=OUTER_REL_TOL, limit=200)
 
     value = rho * (interior
@@ -330,18 +332,16 @@ def _disk_f(x: float) -> float:
     return 0.5 * (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(min(1.0, x)))
 
 
+def _knots(model: ConnectionModel | None) -> tuple[float, ...]:
+    """Table knots to mark as quadrature break points; dense tables are
+    thinned, adaptive refinement handles the rest."""
+    if model is None or model.radii is None:
+        return ()
+    return model.radii[::max(1, len(model.radii) // 32)]
+
+
 def _quad_points(candidates, a: float, b: float, model: ConnectionModel | None = None):
-    pts = set()
-    for p in candidates:
-        if a < p < b:
-            pts.add(float(p))
-    if model is not None and model.radii is not None:
-        radii = model.radii
-        # dense tables: thin the knot list, adaptive refinement handles the rest
-        stride = max(1, len(radii) // 32)
-        for p in radii[::stride]:
-            if a < p < b:
-                pts.add(float(p))
+    pts = {float(p) for p in (*candidates, *_knots(model)) if a < p < b}
     return sorted(pts) or None
 
 
@@ -377,6 +377,7 @@ def _cross_mass(model: ConnectionModel, s: float) -> float:
         # overlap of two unit disks with centers s apart
         half = 0.5 * s
         return 2.0 * math.acos(half) - half * math.sqrt(4.0 - s * s)
+    kinks = (cutoff, *_knots(model))
 
     def inner(u: float) -> float:
         if u == 0.0:
@@ -386,12 +387,12 @@ def _cross_mass(model: ConnectionModel, s: float) -> float:
             dist = math.sqrt(max(0.0, u * u + s * s - 2.0 * u * s * math.cos(phi)))
             return float(model.g(dist))
 
-        # the second factor dies where the distance crosses the cutoff
+        # the second factor has kinks where the distance crosses the cutoff
+        # and every table knot
         brk = None
         if s > 0.0:
-            c = (u * u + s * s - cutoff * cutoff) / (2.0 * u * s)
-            if -1.0 < c < 1.0:
-                brk = [math.acos(c)]
+            cs = [(u * u + s * s - k * k) / (2.0 * u * s) for k in kinks]
+            brk = sorted({math.acos(c) for c in cs if -1.0 < c < 1.0}) or None
         v, _ = integrate.quad(h, 0.0, math.pi, epsabs=INNER_ABS_TOL,
                               epsrel=1e-8, limit=100, points=brk)
         return 2.0 * v

@@ -269,7 +269,7 @@ def test_criterion_10_property_suites(tmp_path):
             assert np.array_equal(grid, exact)
             edge_cases += 1
 
-        # union-find components vs breadth-first search
+        # csgraph components vs breadth-first search
         base = SampleParams(50.0, 0.0, UD, Metric.TORUS, 1, 0)
         comp_cases = 0
         for k in range(cases):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from rcmsim.analysis import (TrialRecord, UnionFind, components,
-                             coupled_statistics, isolated_count,
-                             trial_statistics)
+from rcmsim.analysis import (TrialRecord, components, coupled_statistics,
+                             isolated_count, trial_statistics)
 from rcmsim.geometry import Metric
 from rcmsim.models import unit_disk
 from rcmsim.sampler import (NetworkSample, SampleParams, build_graph,
@@ -27,17 +26,6 @@ def _fabricate(n, edges):
     pts = rng.random((n, 2)) - 0.5
     e = np.array(sorted(map(tuple, edges)), dtype=np.int64).reshape(-1, 2)
     return NetworkSample(p, pts, e)
-
-
-def test_union_find_basics():
-    uf = UnionFind(5)
-    assert uf.n_components == 5
-    uf.union(0, 1)
-    uf.union(1, 0)  # joining twice must not double-count
-    uf.union(2, 3)
-    assert uf.n_components == 3
-    assert uf.find(1) == uf.find(0)
-    assert uf.find(2) != uf.find(0)
 
 
 def test_components_against_bfs_random_graphs():

@@ -2,11 +2,12 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rcmsim import streams
+from rcmsim import sampler, streams
 from rcmsim.errors import ModelError, ParameterError
 from rcmsim.geometry import Metric
 from rcmsim.models import (connection_radius, eval_g, gaussian, log_normal,
@@ -104,6 +105,46 @@ def test_exact_scan_matches_grid():
     a = build_graph(p, pts).edges
     b = build_graph(p, pts, exact=True).edges
     assert np.array_equal(a, b)
+
+
+def test_exact_scan_matches_grid_across_slices():
+    # n > 4096: the 1x1 grid's candidate triangle spans many slices
+    p = _params(6000.0, 0.0, metric=Metric.SQUARE, seed=8)
+    pts = sample_points(p)
+    n = pts.shape[0]
+    assert n > 4096 and n * (n - 1) // 2 > 8 * sampler._SLICE_PAIRS
+    grid = build_graph(p, pts).edges
+    exact = build_graph(p, pts, exact=True).edges
+    assert np.array_equal(grid, exact)
+    assert exact.dtype == np.int64 and exact.flags.c_contiguous
+
+
+def test_tiny_slices_match_default_slices(monkeypatch):
+    # slices far smaller than one source's run of candidates give every
+    # run a slice of its own and leave some slices empty
+    cases = []
+    for k, (model, metric) in enumerate([(UD, Metric.TORUS), (UD, Metric.SQUARE),
+                                         (GAUSS, Metric.TORUS), (GAUSS, Metric.SQUARE)]):
+        p = _params(800.0, 0.5, metric=metric, model=model, seed=60 + k)
+        pts = sample_points(p)
+        cases.append((p, pts, build_graph(p, pts).edges))
+    monkeypatch.setattr(sampler, "_SLICE_PAIRS", 7)
+    for p, pts, want in cases:
+        assert np.array_equal(build_graph(p, pts).edges, want)
+
+
+def test_build_graph_memory_is_bounded():
+    # the Gaussian's 3x3 candidate set at rho 2e4 is about 1e7 pairs; it
+    # is realized slice by slice, never held at once
+    p = _params(2e4, 0.0, model=GAUSS, seed=3)
+    pts = sample_points(p)
+    tracemalloc.start()
+    try:
+        build_graph(p, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
 
 
 def test_wide_square_range_needs_exact():
@@ -273,8 +314,8 @@ def test_write_edge_list_round_trip():
     assert head[3] == "unit_disk" and head[4] == "torus"
     body = [ln.split() for ln in lines[1:]]
     assert len(body) == s.n_edges
-    from rcmsim.geometry import distance
+    from rcmsim.geometry import Point2, distance
     for i_s, j_s, d_s in body[:50]:
         i, j = int(i_s), int(j_s)
-        d = distance(p.metric, s.point(i), s.point(j))
+        d = distance(p.metric, Point2(*s.points[i]), Point2(*s.points[j]))
         assert float(d_s) == pytest.approx(d, rel=1e-15)

@@ -6,14 +6,17 @@ share nothing with the quadrature code they validate.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from rcmsim import theory
 from rcmsim.errors import ParameterError
 from rcmsim.geometry import Metric
-from rcmsim.models import connection_radius, gaussian, log_normal, unit_disk
+from rcmsim.models import (connection_radius, gaussian, log_normal,
+                           table_model, unit_disk)
 from rcmsim.theory import (ChenSteinParams, DiscreteDistribution,
                            TheoryReport, asymptotic_report, chen_stein_terms,
                            chen_stein_tv_bound, empirical_distribution,
@@ -44,6 +47,14 @@ def test_torus_error_estimate_is_returned():
                                    return_error=True)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= err < 1e-9
+
+
+def test_square_error_estimate_is_relative_at_large_density():
+    # the edge-strip and corner integrals are about 1e-53 at rho 1e100; an
+    # absolute tolerance would stop quad at once with a meaningless estimate
+    value, err = expected_isolated(UD, 1e100, 3.0, Metric.SQUARE,
+                                   return_error=True)
+    assert err <= 1e-6 * value
 
 
 def test_square_exceeds_torus():
@@ -178,6 +189,22 @@ def test_pair_correlation_examples():
     want = math.exp(rho * r * r * lens_area(1.5))
     assert got == pytest.approx(want, rel=1e-12)
     assert got > 1.0
+
+
+def test_pair_correlation_table_knots_are_break_points():
+    # a separation a hair below the knot at 1: every knot crossing of the
+    # shifted kernel is a kink of the angular integrand, and unmarked
+    # kinks stall quad in roundoff
+    model = table_model([(0.0, 1.0), (0.5, 0.9), (1.0, 0.5), (1.5, 0.1),
+                         (2.0, 0.0)])
+    rho, b = 2000.0, 0.0
+    r = connection_radius(model.C, rho, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        got = pair_correlation_factor(model, rho, b, (1.0 - 2.5e-12) * r)
+        near = pair_correlation_factor(model, rho, b, (1.0 - 1e-6) * r)
+    # the factor is continuous in the separation
+    assert got == pytest.approx(near, rel=1e-4)
 
 
 def test_pair_correlation_rejects_negative_separation():
