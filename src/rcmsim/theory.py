@@ -25,6 +25,15 @@ r = sqrt((log rho + b) / (C rho)):
 Limits as rho -> infinity, for reference against the finite-rho numbers:
 mean isolated -> exp(-b), P(no isolated) -> exp(-exp(-b)), mean degree
 -> log rho + b.
+
+Square means, cross masses and b2 use fixed-panel Gauss-Legendre rules on
+whole arrays, with panels broken at every kink the geometry and the kernel
+put into the integrand (each function below names its break points) and
+mapped by the smoothstep t -> 3t^2 - 2t^3, which keeps a square-root kink
+at a panel end smooth.  Each quantity is evaluated at orders n and 2n; the
+2n value is returned with |Q_2n - Q_n| as its error once that is within
+1e-9 of the value (n = 16, then 32), else QuadratureError is raised.
+Blocks of at most 2^15 nodes bound the scratch memory.
 """
 
 from __future__ import annotations
@@ -34,16 +43,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import ParameterError, QuadratureError
 from .geometry import Metric
 from .models import ConnectionModel, connection_radius
 
-# inner integrals (kernel mass) are absolute-tolerance quantities in
-# scaled units; outer integrals are relative
-INNER_ABS_TOL = 1e-9
-OUTER_REL_TOL = 1e-7
+# rule orders tried in turn, until one agrees with the next to _REL_TOL
+_ORDERS = (16, 32, 64)
+_REL_TOL = 1e-9
+# rows x nodes evaluated at once, which bounds the scratch memory
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,6 @@ class ChenSteinParams:
     """Knobs for the dependence bounds."""
 
     epsilon: float = 0.25
-    quad_abs: float = 1e-12
-    quad_rel: float = OUTER_REL_TOL
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
@@ -181,7 +189,7 @@ def _expected_isolated_torus(model: ConnectionModel, rho: float, b: float):
         return float(model.g(math.hypot(x, y) / r))
 
     inner, ierr = integrate.dblquad(f, 0.0, 0.5, 0.0, 0.5,
-                                    epsabs=INNER_ABS_TOL, epsrel=1e-8)
+                                    epsabs=1e-9, epsrel=1e-8)
     mass = 4.0 * inner
     value = rho * math.exp(-rho * mass)
     return value, value * rho * 4.0 * ierr
@@ -197,152 +205,149 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     c_t, c_err = _radial_mass(model)
     scale = rho * r * r
     interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * c_t)
+    kinks = np.array(_kinks(model))
+    # exp(-scale K) falls fastest next to the boundary: the panels of the
+    # distance d to it halve toward it, down to the layer width 1 / scale
+    halvings = np.arange(1, math.log2(cutoff * scale))
+    base = np.unique([0.0, *(cutoff * 0.5**halvings), *kinks])
 
-    k_edge, k_corner = _visible_mass_functions(model)
+    def total(n: int) -> float:
+        d, w = _panels(base, n)
+        q_edge = w @ np.exp(-scale * _corner_mass(model, d, math.inf, n))
+        # one row of d1 at a time; the corner integrand kinks where
+        # hypot(d1, d2) crosses a kink radius, so the d2 panels break there
+        q_corner = 0.0
+        for d1, w1 in zip(d, w):
+            arcs = np.sqrt(np.maximum(kinks**2 - d1 * d1, 0.0))
+            d2, w2 = _panels(np.sort(np.concatenate([base, arcs])), n)
+            q_corner += w1 * (w2 @ np.exp(-scale * _corner_mass(model, d1, d2, n)))
+        return rho * (interior + 4.0 * (1.0 - 2.0 * reach) * r * q_edge
+                      + 4.0 * r * r * q_corner)
 
-    def edge_f(delta: float) -> float:
-        return math.exp(-scale * k_edge(delta))
-
-    # relative tolerances only: at large density these integrals are far
-    # below any fixed absolute floor, which would end quad on its first pass
-    q_edge, e_err = integrate.quad(edge_f, 0.0, cutoff, epsabs=0.0,
-                                   epsrel=OUTER_REL_TOL, limit=200)
-
-    def corner_inner(d2: float):
-        def f(d1: float) -> float:
-            return math.exp(-scale * k_corner(d1, d2))
-
-        v, err = integrate.quad(f, 0.0, cutoff, epsabs=0.0,
-                                epsrel=OUTER_REL_TOL, limit=200)
-        return v, err
-
-    def corner_f(d2: float) -> float:
-        return corner_inner(d2)[0]
-
-    q_corner, c2_err = integrate.quad(corner_f, 0.0, cutoff, epsabs=0.0,
-                                      epsrel=OUTER_REL_TOL, limit=200)
-
-    value = rho * (interior
-                   + 4.0 * (1.0 - 2.0 * reach) * r * q_edge
-                   + 4.0 * r * r * q_corner)
-    err = rho * (4.0 * r * e_err + 4.0 * r * r * c2_err
-                 + interior * scale * c_err
-                 + (q_edge * 4.0 * r + q_corner * 4.0 * r * r) * scale * INNER_ABS_TOL)
-    return value, err
+    value, err = _converged(total, "square-metric isolated mean")
+    return float(value), err + rho * interior * scale * c_err
 
 
 def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: float):
     """Fallback for supports wider than half the cell: integrate
     exp(-rho * I(y)) over one quadrant with the general visibility angle."""
-    cutoff = model.cutoff
-
-    def mass(a: float, bb: float) -> float:
-        deltas = ((0.5 - a) / r, (0.5 + a) / r, (0.5 - bb) / r, (0.5 + bb) / r)
-        return _visible_mass_general(model, deltas, cutoff)
 
     def f(y: float, x: float) -> float:
-        return math.exp(-rho * r * r * mass(x, y))
+        deltas = ((0.5 - x) / r, (0.5 + x) / r, (0.5 - y) / r, (0.5 + y) / r)
+        return math.exp(-rho * r * r * float(_visible_mass_general(model, deltas)))
 
     quadrant, err = integrate.dblquad(f, 0.0, 0.5, 0.0, 0.5,
                                       epsabs=1e-10, epsrel=1e-6)
     return rho * 4.0 * quadrant, rho * 4.0 * err
 
 
-def _visible_mass_functions(model: ConnectionModel):
-    """(K_edge, K_corner) in scaled units.
-
-    K_edge(delta): kernel mass visible from a node at scaled distance delta
-    from one straight boundary; K_corner(d1, d2): same with two
-    perpendicular boundaries.  Closed forms for the unit disk, angular
-    quadrature otherwise.
-    """
+def _corner_mass(model: ConnectionModel, d1, d2, n: int):
+    """Kernel mass visible at scaled distances d1, d2 from two perpendicular
+    boundaries (d2 = inf: an edge strip) at rule order n; exact for the disk."""
     if model.kind == "unit_disk":
-        pi = math.pi
-
-        def k_edge(delta: float) -> float:
-            return pi - _disk_cap(delta)
-
-        def k_corner(d1: float, d2: float) -> float:
-            return pi - _disk_cap(d1) - _disk_cap(d2) + _disk_corner(d1, d2)
-
-        return k_edge, k_corner
-
-    cutoff = model.cutoff
-
-    def k_edge(delta: float) -> float:
-        return _visible_mass_general(model, (delta, math.inf, math.inf, math.inf),
-                                     cutoff)
-
-    def k_corner(d1: float, d2: float) -> float:
-        return _visible_mass_general(model, (d1, math.inf, d2, math.inf), cutoff)
-
-    return k_edge, k_corner
+        return math.pi - _disk_cap(d1) - _disk_cap(d2) + _disk_corner(d1, d2)
+    return _visible_mass_rule(model, (d1, math.inf, d2, math.inf), n)
 
 
-def _visible_mass_general(model: ConnectionModel, deltas, cutoff: float) -> float:
+def _visible_mass_general(model: ConnectionModel, deltas) -> np.ndarray:
+    """`_visible_mass_rule` at the first order that agrees with the next."""
+    return _converged(lambda n: _visible_mass_rule(model, deltas, n), "visible mass")[0]
+
+
+def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
     """int_0^cutoff u g(u) theta(u) du where theta(u) is the angular measure
     of the circle of scaled radius u that stays inside the boundary: up to
-    four clipping half-planes at distances `deltas`, adjacent overlaps
-    corrected (triple overlaps cannot occur for a center inside the cell)."""
-    d_r, d_l, d_t, d_b = deltas
-    finite = sorted(d for d in deltas if d < cutoff)
+    four clipping half-planes at distances `deltas` (right, left, top,
+    bottom; arrays that broadcast together), adjacent overlaps corrected
+    (triple overlaps cannot occur for a center inside the cell).  Panels
+    break at each clipping distance, at the onset hypot(d_i, d_j) of each
+    adjacent overlap and at the kinks of g.
+    """
+    cutoff = model.cutoff
+    deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
+    shape = np.broadcast_shapes(*(x.shape for x in deltas))
+    # clips and overlaps that never reach into the support change nothing
+    clips = [i for i in range(4) if np.any(deltas[i] < cutoff)]
+    overlaps = [(i, j) for i, j in ((0, 2), (2, 1), (1, 3), (3, 0))
+                if np.any(np.hypot(deltas[i], deltas[j]) < cutoff)]
+    d = {i: np.broadcast_to(deltas[i], shape).ravel()[:, None] for i in clips}
+    fixed = (0.0, *_kinks(model))
+    out = np.empty(math.prod(shape))
+    step = max(1, _BLOCK // ((len(d) + len(overlaps) + len(fixed) - 1) * n))
+    for lo in range(0, out.size, step):
+        blk = {i: x[lo:lo + step] for i, x in d.items()}
+        rows = min(step, out.size - lo)
+        breaks = np.hstack([*blk.values(), *(np.hypot(blk[i], blk[j])
+                                             for i, j in overlaps), np.tile(fixed, (rows, 1))])
+        u, w = _panels(np.sort(np.minimum(breaks, cutoff), axis=1), n)
+        # half-angle of the arc beyond each clipping line
+        a = {i: np.arccos(np.divide(x, u, out=np.ones_like(u), where=u > x))
+             for i, x in blk.items()}
+        theta = 2.0 * math.pi - 2.0 * sum(a.values())
+        for i, j in overlaps:
+            theta = theta + np.maximum(0.0, a[i] + a[j] - 0.5 * math.pi)
+        out[lo:lo + step] = np.sum(w * u * model.g(u) * theta, axis=1)
+    return out.reshape(shape)
 
-    def theta(u: float) -> float:
-        a_r = math.acos(d_r / u) if u > d_r else 0.0
-        a_l = math.acos(d_l / u) if u > d_l else 0.0
-        a_t = math.acos(d_t / u) if u > d_t else 0.0
-        a_b = math.acos(d_b / u) if u > d_b else 0.0
-        total = 2.0 * math.pi - 2.0 * (a_r + a_l + a_t + a_b)
-        half_pi = 0.5 * math.pi
-        for x, y in ((a_r, a_t), (a_t, a_l), (a_l, a_b), (a_b, a_r)):
-            if x > 0.0 and y > 0.0:
-                total += max(0.0, x + y - half_pi)
-        return total
 
-    def f(u: float) -> float:
-        return u * float(model.g(u)) * theta(u)
-
-    points = _quad_points(finite, 0.0, cutoff, model)
-    # epsrel looser than elsewhere: theta has square-root kinks at the
-    # clipping radii and tighter targets only buy roundoff noise
-    value, err = integrate.quad(f, 0.0, cutoff, epsabs=INNER_ABS_TOL,
-                                epsrel=1e-8, limit=200, points=points)
-    if err > 1e-6:
-        raise QuadratureError("visible-mass integral did not converge", estimate=err)
-    return value
-
-
-def _disk_cap(delta: float) -> float:
+def _disk_cap(delta):
     """Area of the unit disk beyond a chord at distance delta from center."""
-    if delta >= 1.0:
-        return 0.0
-    return math.acos(delta) - delta * math.sqrt(1.0 - delta * delta)
+    d = np.minimum(delta, 1.0)
+    return np.arccos(d) - d * np.sqrt(1.0 - d * d)
 
 
-def _disk_corner(d1: float, d2: float) -> float:
-    """Area of the unit disk with x >= d1 and y >= d2 (both in [0, 1))."""
-    if d1 * d1 + d2 * d2 >= 1.0:
-        return 0.0
-    x_hi = math.sqrt(1.0 - d2 * d2)
-    return _disk_f(x_hi) - _disk_f(d1) - d2 * (x_hi - d1)
+def _disk_corner(d1, d2):
+    """Area of the unit disk with x >= d1 and y >= d2 (both >= 0)."""
+    d2 = np.minimum(d2, 1.0)
+    x_hi = np.sqrt(1.0 - d2 * d2)
+    x_lo = np.minimum(d1, x_hi)
+    # int_{x_lo}^{x_hi} (sqrt(1 - x^2) - d2) dx
+    return (0.5 * (np.arcsin(x_hi) - np.arcsin(x_lo) - x_lo * np.sqrt(1.0 - x_lo * x_lo)
+                   - x_hi * d2) + d2 * x_lo)
 
 
-def _disk_f(x: float) -> float:
-    # antiderivative of sqrt(1 - x^2)
-    return 0.5 * (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(min(1.0, x)))
+def _kinks(model: ConnectionModel) -> tuple[float, ...]:
+    """Radial panel breaks in (0, cutoff]: the cutoff and the table knots
+    (dense tables thinned to about 32), or for knot-free kernels cutoff / 8,
+    / 4, / 2 as well, so that no one panel has to span the whole profile."""
+    if model.radii is None:
+        return tuple(model.cutoff * 0.5 ** np.arange(3, -1, -1))
+    knots = model.radii[::max(1, len(model.radii) // 32)]
+    return (*(k for k in knots if 0.0 < k < model.cutoff), model.cutoff)
 
 
-def _knots(model: ConnectionModel | None) -> tuple[float, ...]:
-    """Table knots to mark as quadrature break points; dense tables are
-    thinned, adaptive refinement handles the rest."""
-    if model is None or model.radii is None:
-        return ()
-    return model.radii[::max(1, len(model.radii) // 32)]
+@lru_cache(maxsize=None)
+def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre on [0, 1] through the smoothstep, whose
+    derivative vanishes at both ends: a square-root kink there turns smooth."""
+    x, w = special.roots_legendre(n)
+    t = 0.5 * (x + 1.0)
+    return t * t * (3.0 - 2.0 * t), 3.0 * w * t * (1.0 - t)
 
 
-def _quad_points(candidates, a: float, b: float, model: ConnectionModel | None = None):
-    pts = {float(p) for p in (*candidates, *_knots(model)) if a < p < b}
-    return sorted(pts) or None
+def _panels(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule on every panel between
+    consecutive breaks, which are sorted along the last axis: shape
+    (..., k) in, (..., (k - 1) n) out.  Zero-width panels weigh nothing."""
+    t, w = _rule(n)
+    a = breaks[..., :-1, None]
+    length = breaks[..., 1:, None] - a
+    shape = breaks.shape[:-1] + (-1,)
+    return (a + length * t).reshape(shape), (length * w).reshape(shape)
+
+
+def _converged(rule, what: str):
+    """(rule(2n), |rule(2n) - rule(n)|) for the first n in _ORDERS whose
+    difference is within _REL_TOL of the value; QuadratureError once the
+    largest order still misses it."""
+    coarse = rule(_ORDERS[0])
+    for n in _ORDERS[1:]:
+        fine = rule(n)
+        err = float(np.max(np.abs(fine - coarse), initial=0.0))
+        if err <= _REL_TOL * float(np.max(np.abs(fine), initial=0.0)):
+            return fine, err
+        coarse = fine
+    raise QuadratureError(f"{what} did not converge at order {n}", estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -363,50 +368,50 @@ def pair_correlation_factor(model: ConnectionModel, rho: float, b: float,
     _require_scale(rho, b)
     r = connection_radius(model.C, rho, b)
     s = d / r
-    g_d = float(model.g(s))
-    cross = _cross_mass(model, s)
-    return (1.0 - g_d) * math.exp(rho * r * r * cross)
+    cross = float(_cross_mass(model, s))
+    return (1.0 - float(model.g(s))) * math.exp(rho * r * r * cross)
 
 
-def _cross_mass(model: ConnectionModel, s: float) -> float:
-    """int g(|y|) g(|y - s e_x|) dy over the plane, scaled units."""
+def _cross_mass(model: ConnectionModel, s) -> np.ndarray:
+    """`_cross_mass_rule` at the first order that agrees with the next."""
+    return _converged(lambda n: _cross_mass_rule(model, s, n), "cross mass")[0]
+
+
+def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
+    """int g(|y|) g(|y - s e_x|) dy over the plane, scaled units, for an
+    array of separations s at rule order n: 2 int u g(u) int_0^pi g(|y - s
+    e_x|) dphi du in polar coordinates.  Radial panels break at the kinks k
+    of g, at s and where the circle of radius k about the second center is
+    tangent (|k - s|, k + s); angular ones where |y - s e_x| crosses a k."""
+    s = np.asarray(s, dtype=np.float64)
     cutoff = model.cutoff
-    if s >= 2.0 * cutoff:
-        return 0.0
     if model.kind == "unit_disk":
         # overlap of two unit disks with centers s apart
-        half = 0.5 * s
-        return 2.0 * math.acos(half) - half * math.sqrt(4.0 - s * s)
-    kinks = (cutoff, *_knots(model))
-
-    def inner(u: float) -> float:
-        if u == 0.0:
-            return 2.0 * math.pi * float(model.g(s))
-
-        def h(phi: float) -> float:
-            dist = math.sqrt(max(0.0, u * u + s * s - 2.0 * u * s * math.cos(phi)))
-            return float(model.g(dist))
-
-        # the second factor has kinks where the distance crosses the cutoff
-        # and every table knot
-        brk = None
-        if s > 0.0:
-            cs = [(u * u + s * s - k * k) / (2.0 * u * s) for k in kinks]
-            brk = sorted({math.acos(c) for c in cs if -1.0 < c < 1.0}) or None
-        v, _ = integrate.quad(h, 0.0, math.pi, epsabs=INNER_ABS_TOL,
-                              epsrel=1e-8, limit=100, points=brk)
-        return 2.0 * v
-
-    def f(u: float) -> float:
-        return u * float(model.g(u)) * inner(u)
-
-    lo = max(0.0, s - cutoff)
-    pts = _quad_points([s, abs(cutoff - s)], lo, cutoff, model)
-    value, err = integrate.quad(f, lo, cutoff, epsabs=INNER_ABS_TOL,
-                                epsrel=1e-8, limit=200, points=pts)
-    if err > 1e-6:
-        raise QuadratureError("cross-mass integral did not converge", estimate=err)
-    return value
+        half = np.minimum(0.5 * s, 1.0)
+        return 2.0 * np.arccos(half) - half * np.sqrt(np.maximum(4.0 - s * s, 0.0))
+    k = np.array(_kinks(model))
+    flat = s.reshape(-1, 1)
+    lo = np.maximum(flat - cutoff, 0.0)
+    breaks = np.hstack([lo, flat, np.abs(k - flat), k + flat, np.tile(k, (flat.size, 1))])
+    breaks = np.sort(np.clip(breaks, lo, cutoff), axis=1)
+    out = np.zeros(flat.size)
+    # one separation at a time, its radial nodes in blocks
+    step = max(1, _BLOCK // ((k.size + 1) * n))
+    for row, (s1, brk) in enumerate(zip(flat[:, 0], breaks)):
+        if brk[0] == brk[-1]:
+            continue  # supports at least 2 cutoff apart
+        u_row, wu_row = _panels(brk, n)
+        for i in range(0, u_row.size, step):
+            u, wu = u_row[i:i + step, None], wu_row[i:i + step]
+            cos_k = np.divide(u * u + s1 * s1 - k * k, 2.0 * u * s1,
+                              out=np.ones((u.size, k.size)), where=u * s1 > 0.0)
+            ends = np.tile((0.0, math.pi), (u.size, 1))
+            phi, wphi = _panels(np.sort(np.hstack(
+                [ends, np.arccos(np.clip(cos_k, -1.0, 1.0))]), axis=1), n)
+            dist = np.sqrt(np.maximum(u * u + s1 * s1 - 2.0 * u * s1 * np.cos(phi), 0.0))
+            inner = 2.0 * np.sum(wphi * model.g(dist), axis=1)
+            out[row] += np.sum(wu * u[:, 0] * model.g(u[:, 0]) * inner)
+    return out.reshape(s.shape)
 
 
 @lru_cache(maxsize=1024)
@@ -422,8 +427,7 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
     scale_log = _require_scale(rho, b)
     eps = params.epsilon
     r = connection_radius(model.C, rho, b)
-    cutoff = model.cutoff
-    if r * cutoff > 0.5:
+    if r * model.cutoff > 0.5:
         raise ParameterError("scaled support exceeds half the torus period")
     e_tor, _ = _expected_isolated_torus(model, rho, b)
     r2 = scale_log / (model.C * rho)
@@ -437,22 +441,21 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
         )
     c_t, _ = _radial_mass(model)
     mass_scale = rho * r * r
+    # the cross mass kinks where circles of kink radii about the two
+    # centers touch: at every pairwise sum and difference, also wrapped
+    radii = (0.0, *_kinks(model))
+    touch = {abs(x + sign * y) for x in radii for y in radii for sign in (1.0, -1.0)}
+    pts = {p for t in touch for p in (t, period - t) if 0.0 < p < s_max}
+    breaks = np.array(sorted({0.0, s_max, *pts}))
 
-    def f(s: float) -> float:
-        cross = _cross_mass(model, s)
-        back = period - s
-        if back < 2.0 * cutoff:
-            cross += _cross_mass(model, back)
-        w = 1.0 - float(model.g(s))
-        return 2.0 * math.pi * s * w * math.exp(-mass_scale * (2.0 * c_t - cross))
+    def integral(n: int) -> float:
+        s, w = _panels(breaks, n)
+        cross = _cross_mass_rule(model, s, n) + _cross_mass_rule(model, period - s, n)
+        return w @ (2.0 * math.pi * s * (1.0 - model.g(s))
+                    * np.exp(-mass_scale * (2.0 * c_t - cross)))
 
-    pts = _quad_points([cutoff, 2.0 * cutoff, period - 2.0 * cutoff], 0.0, s_max, None)
-    value, err = integrate.quad(f, 0.0, s_max, epsabs=params.quad_abs,
-                                epsrel=params.quad_rel, limit=300, points=pts)
-    if err > max(1e-6, params.quad_rel * abs(value) * 100.0):
-        raise QuadratureError("dependence integral did not converge", estimate=err)
-    b2 = rho * rho * r * r * value
-    return b1, b2
+    value, _ = _converged(integral, "dependence integral")
+    return b1, rho * rho * r * r * float(value)
 
 
 def chen_stein_tv_bound(b1: float, b2: float, b3: float, lam: float) -> float:

@@ -215,3 +215,45 @@ def mc_log_normal_C(sigma_db, eta, n_samples, seed):
     mean = float(w.mean())
     se = float(w.std(ddof=1)) / math.sqrt(n_samples)
     return mean, se
+
+
+def gaussian_square_mean(rho, b):
+    """Expected isolated nodes on the unit square for the untruncated
+    Gaussian kernel, from its separable visible mass: with
+    M(t) = (r sqrt(pi) / 2) [erf((1/2 - t) / r) + erf((1/2 + t) / r)]
+    the mass seen from (y1, y2) is M(y1) M(y2), and the mean is
+    rho * int exp(-rho M(y1) M(y2)) dy, here by nested adaptive quad over
+    one quadrant with the boundary layer marked."""
+    from scipy import integrate, special
+
+    r = math.sqrt((math.log(rho) + b) / (math.pi * rho))
+
+    def m(t):
+        return 0.5 * r * math.sqrt(math.pi) * (special.erf((0.5 - t) / r)
+                                               + special.erf((0.5 + t) / r))
+
+    layer = [0.5 - 8.0 * r, 0.5 - 2.0 * r]
+
+    def row(y1):
+        m1 = m(y1)
+        v, _ = integrate.quad(lambda y2: math.exp(-rho * m1 * m(y2)), 0.0, 0.5,
+                              points=layer, epsabs=0.0, epsrel=1e-13, limit=200)
+        return v
+
+    quadrant, _ = integrate.quad(row, 0.0, 0.5, points=layer, epsabs=0.0,
+                                 epsrel=1e-12, limit=200)
+    return 4.0 * rho * quadrant
+
+
+def mc_cross_mass(model, s, n_samples, seed):
+    """Plain MC of int g(|y|) g(|y - s e_x|) dy: y uniform on the support
+    disk of the first factor.  Returns (estimate, standard error)."""
+    cutoff = model.cutoff
+    rng = np.random.default_rng(seed)
+    rad = cutoff * np.sqrt(rng.random(n_samples))
+    phi = 2.0 * math.pi * rng.random(n_samples)
+    x = rad * np.cos(phi)
+    y = rad * np.sin(phi)
+    vals = model.g(rad) * model.g(np.hypot(x - s, y))
+    area = math.pi * cutoff * cutoff
+    return area * float(vals.mean()), area * float(vals.std()) / math.sqrt(n_samples)

@@ -6,6 +6,7 @@ share nothing with the quadrature code they validate.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from rcmsim import theory
-from rcmsim.errors import ParameterError
+from rcmsim.errors import ParameterError, QuadratureError
 from rcmsim.geometry import Metric
 from rcmsim.models import (connection_radius, gaussian, log_normal,
                            table_model, unit_disk)
@@ -22,12 +23,15 @@ from rcmsim.theory import (ChenSteinParams, DiscreteDistribution,
                            chen_stein_tv_bound, empirical_distribution,
                            expected_isolated, pair_correlation_factor,
                            poisson_pmf, theory_report, tv_distance)
-from oracles import (lens_area, mc_b2_unit_disk, mc_disk_mass,
-                     mc_folded_mass, mc_lens_area, mc_visible_mass,
-                     poisson_pmf_factorial)
+from oracles import (gaussian_square_mean, lens_area, mc_b2_unit_disk,
+                     mc_cross_mass, mc_disk_mass, mc_folded_mass,
+                     mc_lens_area, mc_visible_mass, poisson_pmf_factorial)
 
 UD = unit_disk()
 GAUSS = gaussian()
+TABLE3 = table_model([(0.0, 1.0), (1.0, 0.6), (2.0, 0.0)])
+TABLE5 = table_model([(0.0, 1.0), (0.5, 0.9), (1.0, 0.5), (1.5, 0.1),
+                      (2.0, 0.0)])
 
 
 # --- expected isolated nodes ---
@@ -57,6 +61,45 @@ def test_square_error_estimate_is_relative_at_large_density():
     assert err <= 1e-6 * value
 
 
+@pytest.mark.parametrize("rho", [2000.0, 1e4])
+def test_gaussian_square_error_covers_erf_oracle(rho):
+    # the separable erf form is exact for the untruncated kernel; the
+    # truncated one differs by about 2e-11, inside the reported error
+    value, err = expected_isolated(GAUSS, rho, 0.0, Metric.SQUARE,
+                                   return_error=True)
+    assert abs(value - gaussian_square_mean(rho, 0.0)) <= err
+
+
+def test_log_normal_square_is_fast_and_quiet():
+    # nested adaptive quad took about a minute here and leaked an
+    # IntegrationWarning (an error under this suite's filter)
+    ln = log_normal(4.0, 3.0)
+    t0 = time.perf_counter()
+    value = expected_isolated(ln, 2000.0, 0.0, Metric.SQUARE)
+    assert time.perf_counter() - t0 < 5.0
+    assert value == pytest.approx(2.3943, abs=1e-4)
+
+
+@pytest.mark.parametrize("model,target", [(GAUSS, 0.892521), (TABLE3, 0.890406)])
+def test_edge_layer_rate_general_kernels(model, target):
+    # large-density edge-strip term for a general kernel (Dettmann and
+    # Georgiou, Phys. Rev. E 93, 032313): E_sq - E_tor ~
+    # 2 e^{-b/2} sqrt(C) / (int_0^cutoff g) / sqrt(log rho + b), which is
+    # criterion 6's 2 sqrt(pi) e^{-b/2} rate for the unit disk
+    b = 3.0
+    if model.kind == "gaussian":
+        line_mass = 0.5 * math.sqrt(math.pi) * math.erf(model.cutoff)
+    else:
+        line_mass = float(np.trapezoid(model.values, model.radii))
+    want = 2.0 * math.exp(-0.5 * b) * math.sqrt(model.C) / line_mass
+    assert want == pytest.approx(target, rel=1e-5)
+    for rho in (1e50, 1e100):
+        e_sq = expected_isolated(model, rho, b, Metric.SQUARE)
+        e_tor = expected_isolated(model, rho, b, Metric.TORUS)
+        rate = (e_sq - e_tor) * math.sqrt(math.log(rho) + b)
+        assert rate == pytest.approx(want, rel=1e-3), rho
+
+
 def test_square_exceeds_torus():
     e_tor = expected_isolated(UD, 1e4, 0.0, Metric.TORUS)
     e_sq = expected_isolated(UD, 1e4, 0.0, Metric.SQUARE)
@@ -81,22 +124,25 @@ def test_visible_mass_generic_vs_mc():
         (UD, (0.15, inf, 0.2, inf)),  # adjacent clips overlap near u = 1
         (GAUSS, (0.5, 4.0, 1.2, 3.0)),
         (GAUSS, (2.0, inf, inf, inf)),
+        (log_normal(4.0, 3.0), (0.4, inf, 1.5, inf)),
+        (log_normal(4.0, 3.0), (2.0, 6.0, 0.3, 7.5)),
+        (TABLE3, (1.0, inf, 0.6, inf)),  # clip exactly on the knot at 1
+        (TABLE3, (0.3, 1.7, 1.2, inf)),
     ]
     for i, (model, deltas) in enumerate(cases):
-        got = theory._visible_mass_general(model, deltas, model.cutoff)
+        got = theory._visible_mass_general(model, deltas)
         est, se = mc_visible_mass(model, deltas, 4_000_000, seed=100 + i)
         assert abs(got - est) < 5.0 * se, (deltas, got, est, se)
 
 
 def test_unit_disk_closed_forms_match_generic_path():
     inf = math.inf
-    k_edge, k_corner = theory._visible_mass_functions(UD)
     for d in (0.05, 0.2, 0.6, 0.95):
-        gen = theory._visible_mass_general(UD, (d, inf, inf, inf), UD.cutoff)
-        assert gen == pytest.approx(k_edge(d), rel=1e-9)
+        gen = theory._visible_mass_general(UD, (d, inf, inf, inf))
+        assert gen == pytest.approx(theory._corner_mass(UD, d, inf, 32), rel=1e-9)
     for d1, d2 in ((0.3, 0.5), (0.1, 0.15), (0.7, 0.7)):
-        gen = theory._visible_mass_general(UD, (d1, inf, d2, inf), UD.cutoff)
-        assert gen == pytest.approx(k_corner(d1, d2), rel=1e-8)
+        gen = theory._visible_mass_general(UD, (d1, inf, d2, inf))
+        assert gen == pytest.approx(theory._corner_mass(UD, d1, d2, 32), rel=1e-8)
 
 
 def test_square_decomposition_matches_direct_quadrature():
@@ -171,6 +217,17 @@ def test_cross_mass_gaussian_closed_form():
         assert got == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("model,separations", [
+    (TABLE3, (0.5, 1.0, 2.0, 3.0, 3.7)),        # knot sums and differences
+    (TABLE5, (0.25, 0.5, 1.5, 2.5, 3.0, 3.5)),
+])
+def test_cross_mass_tables_vs_mc(model, separations):
+    got = theory._cross_mass(model, np.array(separations))
+    for i, s in enumerate(separations):
+        est, se = mc_cross_mass(model, s, 2_000_000, seed=300 + i)
+        assert abs(got[i] - est) < 5.0 * se, (s, got[i], est, se)
+
+
 def test_cross_mass_vanishes_beyond_double_cutoff():
     assert theory._cross_mass(UD, 2.0) == 0.0
     assert theory._cross_mass(GAUSS, 2.0 * GAUSS.cutoff + 1.0) == 0.0
@@ -237,6 +294,44 @@ def test_terms_decrease_with_density():
     b2s = [v[1] for v in vals]
     assert all(x > y > 0.0 for x, y in zip(b1s, b1s[1:]))
     assert all(x > y > 0.0 for x, y in zip(b2s, b2s[1:]))
+
+
+def test_chen_stein_five_knot_table_is_fast():
+    # 163 s with seven leaked IntegrationWarnings under nested quad
+    chen_stein_terms.cache_clear()
+    t0 = time.perf_counter()
+    b1, b2 = chen_stein_terms(TABLE5, 2000.0, 0.0)
+    assert time.perf_counter() - t0 < 5.0
+    assert b1 > 0.0 and b2 > 0.0
+
+
+def test_theory_does_not_nest_adaptive_quad(monkeypatch):
+    # square means and Chen-Stein terms come from the fixed-panel rules
+    # alone; scipy's adaptive quad may serve only the wide-support fallbacks
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    theory._expected_isolated_square.cache_clear()
+    chen_stein_terms.cache_clear()
+    try:
+        for model in (GAUSS, TABLE3):
+            assert expected_isolated(model, 2000.0, 0.0, Metric.SQUARE) > 0.0
+            assert chen_stein_terms(model, 2000.0, 0.0)[1] > 0.0
+    finally:
+        theory._expected_isolated_square.cache_clear()
+        chen_stein_terms.cache_clear()
+
+
+def test_unconverged_rule_raises(monkeypatch):
+    # orders too low for the tolerance: the rule fails loudly with its
+    # achieved error estimate instead of returning a value
+    monkeypatch.setattr(theory, "_ORDERS", (2, 4))
+    with pytest.raises(QuadratureError) as info:
+        theory._visible_mass_general(GAUSS, (0.5, math.inf, math.inf, math.inf))
+    assert info.value.estimate > 0.0
 
 
 def test_chen_stein_guards():
