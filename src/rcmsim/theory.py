@@ -32,8 +32,12 @@ put into the integrand (each function below names its break points) and
 mapped by the smoothstep t -> 3t^2 - 2t^3, which keeps a square-root kink
 at a panel end smooth.  Each quantity is evaluated at orders n and 2n; the
 2n value is returned with |Q_2n - Q_n| as its error once that is within
-1e-9 of the value (n = 16, then 32), else QuadratureError is raised.
-Blocks of at most 2^15 nodes bound the scratch memory.
+1e-9 of the value (1e-7 for b2; n = 8, 16, then 32), else QuadratureError
+is raised.  A table kernel is linear between knots, so the mass it shows
+inside clipping lines has a closed form: the square means of tables need
+no radial rule, and a corner node costs the same for any knot count.
+Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
+memory stays small.
 """
 
 from __future__ import annotations
@@ -50,8 +54,11 @@ from .geometry import Metric
 from .models import ConnectionModel, connection_radius
 
 # rule orders tried in turn, until one agrees with the next to _REL_TOL
-_ORDERS = (16, 32, 64)
+_ORDERS = (8, 16, 32, 64)
 _REL_TOL = 1e-9
+# b2 only enters an upper bound: 1e-7 is ample, while 1e-9 would need a
+# separation break at every sum of two table knots, O(knots^2) panels
+_B2_REL_TOL = 1e-7
 # rows x nodes evaluated at once, which bounds the scratch memory
 _BLOCK = 1 << 15
 
@@ -205,22 +212,13 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     c_t, c_err = _radial_mass(model)
     scale = rho * r * r
     interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * c_t)
-    kinks = np.array(_kinks(model))
     # exp(-scale K) falls fastest next to the boundary: the panels of the
     # distance d to it halve toward it, down to the layer width 1 / scale
     halvings = np.arange(1, math.log2(cutoff * scale))
-    base = np.unique([0.0, *(cutoff * 0.5**halvings), *kinks])
+    base = np.unique([0.0, *(cutoff * 0.5**halvings), *_kinks(model)])
 
     def total(n: int) -> float:
-        d, w = _panels(base, n)
-        q_edge = w @ np.exp(-scale * _corner_mass(model, d, math.inf, n))
-        # one row of d1 at a time; the corner integrand kinks where
-        # hypot(d1, d2) crosses a kink radius, so the d2 panels break there
-        q_corner = 0.0
-        for d1, w1 in zip(d, w):
-            arcs = np.sqrt(np.maximum(kinks**2 - d1 * d1, 0.0))
-            d2, w2 = _panels(np.sort(np.concatenate([base, arcs])), n)
-            q_corner += w1 * (w2 @ np.exp(-scale * _corner_mass(model, d1, d2, n)))
+        q_edge, q_corner = _boundary_integrals(model, base, n, scale)
         return rho * (interior + 4.0 * (1.0 - 2.0 * reach) * r * q_edge
                       + 4.0 * r * r * q_corner)
 
@@ -241,6 +239,45 @@ def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: floa
     return rho * 4.0 * quadrant, rho * 4.0 * err
 
 
+def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
+                        scale: float) -> tuple[float, float]:
+    """Integrals of exp(-scale K) over the edge profile, d in [0, cutoff],
+    and over the corner square [0, cutoff]^2 of scaled distances to the
+    boundary, with K the visible kernel mass, on the panels between the
+    breaks `base` at rule order n."""
+    d, w = _panels(base, n)
+    if model.kind == "unit_disk":
+        # the corner overlap sets in with a (1 - h)^(3/2) kink on the arc
+        # h = hypot(d1, d2) = 1, weighted by g(cutoff): 1 here, eps for the
+        # kernels cut at eps.  Each row of d1 breaks its d2 panels there.
+        arc = np.sqrt(np.maximum(1.0 - d * d, 0.0))[:, None]
+        d2, w2 = _panels(np.sort(np.hstack([np.tile(base, (d.size, 1)), arc]), axis=1), n)
+        mass = _corner_mass(model, d[:, None], d2, n)
+        return (w @ np.exp(-scale * _corner_mass(model, d, math.inf, n)),
+                w @ np.sum(w2 * np.exp(-scale * mass), axis=1))
+    if model.kind == "table":
+        # arc integrals on d once: a corner node then costs O(1), not O(knots)
+        zero = _arc_suffix(model, 0.0)
+        arcs = _arc_suffix(model, d)
+        edge = 4.0 * zero[0] - 2.0 * arcs[:, 0]
+
+        def corner_rows(rows):
+            return (edge[rows, None] - 2.0 * arcs[:, 0]
+                    + _arc_overlap(model, zero, arcs[rows, None], d[rows, None], arcs, d))
+    else:
+        edge = _corner_mass(model, d, math.inf, n)
+
+        def corner_rows(rows):
+            return _corner_mass(model, d[rows, None], d, n)
+
+    q_corner = 0.0
+    step = max(1, _BLOCK // d.size)
+    for lo in range(0, d.size, step):
+        rows = slice(lo, lo + step)
+        q_corner += w[rows] @ np.exp(-scale * corner_rows(rows)) @ w
+    return w @ np.exp(-scale * edge), q_corner
+
+
 def _corner_mass(model: ConnectionModel, d1, d2, n: int):
     """Kernel mass visible at scaled distances d1, d2 from two perpendicular
     boundaries (d2 = inf: an edge strip) at rule order n; exact for the disk."""
@@ -250,7 +287,11 @@ def _corner_mass(model: ConnectionModel, d1, d2, n: int):
 
 
 def _visible_mass_general(model: ConnectionModel, deltas) -> np.ndarray:
-    """`_visible_mass_rule` at the first order that agrees with the next."""
+    """Kernel mass visible inside the clipping half-planes at `deltas` (see
+    `_visible_mass_rule`): exact for a table, else the first rule order
+    that agrees with the next."""
+    if model.kind == "table":
+        return _visible_mass_table(model, deltas)
     return _converged(lambda n: _visible_mass_rule(model, deltas, n), "visible mass")[0]
 
 
@@ -261,7 +302,8 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
     bottom; arrays that broadcast together), adjacent overlaps corrected
     (triple overlaps cannot occur for a center inside the cell).  Panels
     break at each clipping distance, at the onset hypot(d_i, d_j) of each
-    adjacent overlap and at the kinks of g.
+    adjacent overlap, at the kinks of g and at cutoff / 8, / 4, / 2, so that
+    no one panel spans the whole profile.
     """
     cutoff = model.cutoff
     deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
@@ -271,7 +313,7 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
     overlaps = [(i, j) for i, j in ((0, 2), (2, 1), (1, 3), (3, 0))
                 if np.any(np.hypot(deltas[i], deltas[j]) < cutoff)]
     d = {i: np.broadcast_to(deltas[i], shape).ravel()[:, None] for i in clips}
-    fixed = (0.0, *_kinks(model))
+    fixed = (0.0, *_radial_breaks(model))
     out = np.empty(math.prod(shape))
     step = max(1, _BLOCK // ((len(d) + len(overlaps) + len(fixed) - 1) * n))
     for lo in range(0, out.size, step):
@@ -288,6 +330,78 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
             theta = theta + np.maximum(0.0, a[i] + a[j] - 0.5 * math.pi)
         out[lo:lo + step] = np.sum(w * u * model.g(u) * theta, axis=1)
     return out.reshape(shape)
+
+
+def _visible_mass_table(model: ConnectionModel, deltas) -> np.ndarray:
+    """`_visible_mass_rule` in closed form for a table: the full mass, less
+    the arcs beyond each clipping line, plus each adjacent overlap."""
+    deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
+    zero = _arc_suffix(model, 0.0)
+    arcs = [_arc_suffix(model, x) for x in deltas]
+    out = 4.0 * zero[0] - 2.0 * sum(a[..., 0] for a in arcs)
+    for i, j in ((0, 2), (2, 1), (1, 3), (3, 0)):
+        out = out + _arc_overlap(model, zero, arcs[i], deltas[i], arcs[j], deltas[j])
+    return out
+
+
+def _arc_overlap(model: ConnectionModel, zero, arcs1, delta1, arcs2, delta2):
+    """Table kernel: the mass beyond both of two perpendicular clipping
+    lines, which their two arcs count twice: int u g(u) (arccos(delta1 / u)
+    + arccos(delta2 / u) - pi / 2) du from hypot(delta1, delta2) outward.
+    `zero` and `arcs1`, `arcs2` are `_arc_suffix` at 0 and at the deltas."""
+    h = np.hypot(delta1, delta2)
+    return (_arc_tail(model, arcs1, delta1, h) + _arc_tail(model, arcs2, delta2, h)
+            - _arc_tail(model, zero, 0.0, h))
+
+
+@lru_cache(maxsize=64)
+def _table_pieces(model: ConnectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breaks x_0 = 0 < ... < x_P = cutoff of a table kernel and the
+    coefficients of g(u) = alpha_p + beta_p u on each piece."""
+    x = np.array((0.0, *_kinks(model)))
+    gx = model.g(x)
+    beta = np.diff(gx) / np.diff(x)
+    return x, gx[:-1] - beta * x[:-1], beta
+
+
+def _arc_primitive(alpha, beta, v, delta):
+    """Antiderivative in v of v (alpha + beta v) arccos(delta / v) for
+    v >= delta >= 0, zero at v = delta.  Written with
+    sqrt((v - delta)(v + delta)) so that it stays accurate near v = delta."""
+    root = np.sqrt((v - delta) * (v + delta))
+    angle = np.arctan2(root, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.where(delta > 0.0, delta * delta * np.log1p((v - delta + root) / delta), 0.0)
+    return (alpha * 0.5 * (v * v * angle - delta * root)
+            + beta * (2.0 * v**3 * angle - delta * (v * root + log)) / 6.0)
+
+
+def _arc_suffix(model: ConnectionModel, delta) -> np.ndarray:
+    """Table kernel: A[..., p] = int u g(u) arccos(delta / u) du from
+    max(x_p, delta) to the cutoff, for p = 0..P (A[..., P] = 0).  The arc
+    beyond a clipping line at delta takes 2 A[..., 0] of the mass; at
+    delta = 0 the arccos is pi / 2, so 4 A[0] is the full mass."""
+    x, alpha, beta = _table_pieces(model)
+    delta = np.minimum(delta, x[-1])[..., None]
+    v = np.maximum(x, delta)
+    seg = (_arc_primitive(alpha, beta, v[..., 1:], delta)
+           - _arc_primitive(alpha, beta, v[..., :-1], delta))
+    tail = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+    return np.concatenate([tail, np.zeros_like(delta)], axis=-1)
+
+
+def _arc_tail(model: ConnectionModel, arcs, delta, c):
+    """int_c^cutoff u g(u) arccos(delta / u) du for c >= delta, given
+    arcs = `_arc_suffix(model, delta)`; all arguments broadcast."""
+    x, alpha, beta = _table_pieces(model)
+    p = np.clip(np.searchsorted(x, c, side="right") - 1, 0, alpha.size - 1)
+    delta = np.minimum(delta, x[-1])
+    c = np.minimum(c, x[-1])
+    head = (_arc_primitive(alpha[p], beta[p], x[p + 1], delta)
+            - _arc_primitive(alpha[p], beta[p], c, delta))
+    shape = np.broadcast_shapes(arcs.shape[:-1], p.shape)
+    arcs = np.broadcast_to(arcs, shape + arcs.shape[-1:])
+    return np.take_along_axis(arcs, np.broadcast_to(p + 1, shape)[..., None], -1)[..., 0] + head
 
 
 def _disk_cap(delta):
@@ -307,13 +421,16 @@ def _disk_corner(d1, d2):
 
 
 def _kinks(model: ConnectionModel) -> tuple[float, ...]:
-    """Radial panel breaks in (0, cutoff]: the cutoff and the table knots
-    (dense tables thinned to about 32), or for knot-free kernels cutoff / 8,
-    / 4, / 2 as well, so that no one panel has to span the whole profile."""
-    if model.radii is None:
-        return tuple(model.cutoff * 0.5 ** np.arange(3, -1, -1))
-    knots = model.radii[::max(1, len(model.radii) // 32)]
-    return (*(k for k in knots if 0.0 < k < model.cutoff), model.cutoff)
+    """Radii in (0, cutoff] where g kinks: the table knots and the cutoff."""
+    inner = () if model.radii is None else model.radii
+    return (*(k for k in inner if 0.0 < k < model.cutoff), model.cutoff)
+
+
+def _radial_breaks(model: ConnectionModel) -> tuple[float, ...]:
+    """Where panels over a radius break: the kinks, and cutoff / 8, / 4, / 2
+    so that no one panel spans the whole profile (the log-normal (4, 3)
+    falls from 0.99 to 0.01 between radii 0.5 and 2 of a cutoff of 8.7)."""
+    return tuple(sorted({*(model.cutoff * 0.5 ** np.arange(1, 4)), *_kinks(model)}))
 
 
 @lru_cache(maxsize=None)
@@ -336,15 +453,15 @@ def _panels(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (a + length * t).reshape(shape), (length * w).reshape(shape)
 
 
-def _converged(rule, what: str):
+def _converged(rule, what: str, rel_tol: float = _REL_TOL):
     """(rule(2n), |rule(2n) - rule(n)|) for the first n in _ORDERS whose
-    difference is within _REL_TOL of the value; QuadratureError once the
+    difference is within rel_tol of the value; QuadratureError once the
     largest order still misses it."""
     coarse = rule(_ORDERS[0])
     for n in _ORDERS[1:]:
         fine = rule(n)
         err = float(np.max(np.abs(fine - coarse), initial=0.0))
-        if err <= _REL_TOL * float(np.max(np.abs(fine), initial=0.0)):
+        if err <= rel_tol * float(np.max(np.abs(fine), initial=0.0)):
             return fine, err
         coarse = fine
     raise QuadratureError(f"{what} did not converge at order {n}", estimate=err)
@@ -380,9 +497,11 @@ def _cross_mass(model: ConnectionModel, s) -> np.ndarray:
 def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
     """int g(|y|) g(|y - s e_x|) dy over the plane, scaled units, for an
     array of separations s at rule order n: 2 int u g(u) int_0^pi g(|y - s
-    e_x|) dphi du in polar coordinates.  Radial panels break at the kinks k
-    of g, at s and where the circle of radius k about the second center is
-    tangent (|k - s|, k + s); angular ones where |y - s e_x| crosses a k."""
+    e_x|) dphi du in polar coordinates.  Radial panels break at the radial
+    breaks of g, at s and where the circle of radius k about the second
+    center is tangent (|k - s|, k + s) for each kink k; angular ones where
+    |y - s e_x| crosses a k, taking in a block of radii only the k that one
+    of its circles crosses."""
     s = np.asarray(s, dtype=np.float64)
     cutoff = model.cutoff
     if model.kind == "unit_disk":
@@ -390,21 +509,22 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
         half = np.minimum(0.5 * s, 1.0)
         return 2.0 * np.arccos(half) - half * np.sqrt(np.maximum(4.0 - s * s, 0.0))
     k = np.array(_kinks(model))
-    flat = s.reshape(-1, 1)
-    lo = np.maximum(flat - cutoff, 0.0)
-    breaks = np.hstack([lo, flat, np.abs(k - flat), k + flat, np.tile(k, (flat.size, 1))])
-    breaks = np.sort(np.clip(breaks, lo, cutoff), axis=1)
+    radial = _radial_breaks(model)
+    flat = s.reshape(-1)
     out = np.zeros(flat.size)
     # one separation at a time, its radial nodes in blocks
     step = max(1, _BLOCK // ((k.size + 1) * n))
-    for row, (s1, brk) in enumerate(zip(flat[:, 0], breaks)):
-        if brk[0] == brk[-1]:
+    for row, s1 in enumerate(flat):
+        lo = max(s1 - cutoff, 0.0)
+        if lo >= cutoff:
             continue  # supports at least 2 cutoff apart
+        brk = np.unique(np.clip([lo, s1, *np.abs(k - s1), *(k + s1), *radial], lo, cutoff))
         u_row, wu_row = _panels(brk, n)
         for i in range(0, u_row.size, step):
             u, wu = u_row[i:i + step, None], wu_row[i:i + step]
-            cos_k = np.divide(u * u + s1 * s1 - k * k, 2.0 * u * s1,
-                              out=np.ones((u.size, k.size)), where=u * s1 > 0.0)
+            near = k[(k > np.min(np.abs(u - s1))) & (k < u[-1, 0] + s1)]
+            cos_k = np.divide(u * u + s1 * s1 - near * near, 2.0 * u * s1,
+                              out=np.ones((u.size, near.size)), where=u * s1 > 0.0)
             ends = np.tile((0.0, math.pi), (u.size, 1))
             phi, wphi = _panels(np.sort(np.hstack(
                 [ends, np.arccos(np.clip(cos_k, -1.0, 1.0))]), axis=1), n)
@@ -441,11 +561,13 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
         )
     c_t, _ = _radial_mass(model)
     mass_scale = rho * r * r
-    # the cross mass kinks where circles of kink radii about the two
-    # centers touch: at every pairwise sum and difference, also wrapped
-    radii = (0.0, *_kinks(model))
-    touch = {abs(x + sign * y) for x in radii for y in radii for sign in (1.0, -1.0)}
-    pts = {p for t in touch for p in (t, period - t) if 0.0 < p < s_max}
+    # 1 - g(s) breaks where g does.  The cross mass kinks where kink circles
+    # about the two centers touch, at every sum and difference of two kinks
+    # k; the sums with the cutoff, k + cutoff (2 cutoff ends the support),
+    # are the strong ones, and the order doubling covers the rest.  The
+    # wrapped pair at period - s kinks at the mirror images.
+    pts = (*_radial_breaks(model), *(k + model.cutoff for k in _kinks(model)))
+    pts = {q for p in pts for q in (p, period - p) if 0.0 < q < s_max}
     breaks = np.array(sorted({0.0, s_max, *pts}))
 
     def integral(n: int) -> float:
@@ -454,7 +576,7 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
         return w @ (2.0 * math.pi * s * (1.0 - model.g(s))
                     * np.exp(-mass_scale * (2.0 * c_t - cross)))
 
-    value, _ = _converged(integral, "dependence integral")
+    value, _ = _converged(integral, "dependence integral", _B2_REL_TOL)
     return b1, rho * rho * r * r * float(value)
 
 

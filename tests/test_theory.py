@@ -32,6 +32,12 @@ GAUSS = gaussian()
 TABLE3 = table_model([(0.0, 1.0), (1.0, 0.6), (2.0, 0.0)])
 TABLE5 = table_model([(0.0, 1.0), (0.5, 0.9), (1.0, 0.5), (1.5, 0.1),
                       (2.0, 0.0)])
+# a measured-looking profile: 65 knots, geometrically spaced
+DENSE_RADII = np.concatenate([[0.0], np.geomspace(0.03, 2.0, 64)])
+DENSE = table_model(list(zip(
+    DENSE_RADII.tolist(),
+    ((1.0 - DENSE_RADII / 2.0) * np.exp(-DENSE_RADII)
+     * (1.0 + 0.2 * np.sin(5.0 * DENSE_RADII))).tolist())))
 
 
 # --- expected isolated nodes ---
@@ -80,7 +86,8 @@ def test_log_normal_square_is_fast_and_quiet():
     assert value == pytest.approx(2.3943, abs=1e-4)
 
 
-@pytest.mark.parametrize("model,target", [(GAUSS, 0.892521), (TABLE3, 0.890406)])
+@pytest.mark.parametrize("model,target", [(GAUSS, 0.892521), (TABLE3, 0.890406),
+                                          (DENSE, 0.970675)])
 def test_edge_layer_rate_general_kernels(model, target):
     # large-density edge-strip term for a general kernel (Dettmann and
     # Georgiou, Phys. Rev. E 93, 032313): E_sq - E_tor ~
@@ -128,11 +135,40 @@ def test_visible_mass_generic_vs_mc():
         (log_normal(4.0, 3.0), (2.0, 6.0, 0.3, 7.5)),
         (TABLE3, (1.0, inf, 0.6, inf)),  # clip exactly on the knot at 1
         (TABLE3, (0.3, 1.7, 1.2, inf)),
+        (DENSE, (float(DENSE_RADII[20]), inf, 0.35, inf)),  # on a knot
+        (DENSE, (0.05, 1.3, 0.8, 2.4)),
     ]
     for i, (model, deltas) in enumerate(cases):
         got = theory._visible_mass_general(model, deltas)
         est, se = mc_visible_mass(model, deltas, 4_000_000, seed=100 + i)
         assert abs(got - est) < 5.0 * se, (deltas, got, est, se)
+
+
+@pytest.mark.parametrize("model", [TABLE5, DENSE])
+def test_table_visible_mass_closed_form_matches_rule(model):
+    # the piecewise closed form against the radial Gauss rule, which
+    # breaks its panels at every knot
+    inf = math.inf
+    for deltas in ((0.2, inf, inf, inf), (1.0, inf, 0.6, inf),
+                   (0.45, 0.7, 0.3, 1.9), (0.0, inf, 0.0, inf)):
+        rule, _ = theory._converged(
+            lambda n: theory._visible_mass_rule(model, deltas, n), "rule")
+        assert theory._visible_mass_general(model, deltas) == pytest.approx(
+            rule, rel=1e-12, abs=1e-14), deltas
+
+
+def test_unit_disk_square_converges_at_low_density():
+    # the unit disk's corner overlap sets in with a (1 - h)^(3/2) kink on
+    # the arc h = 1; without a panel break there the rule stalls near
+    # 1e-8 and raises below about rho = 2000
+    for rho in (20.0, 40.0, 100.0):
+        value, err = expected_isolated(UD, rho, 0.0, Metric.SQUARE,
+                                       return_error=True)
+        assert err <= 1e-9 * value, rho
+    r = connection_radius(UD.C, 20.0, 0.0)
+    direct, derr = theory._expected_isolated_square_direct(UD, 20.0, r)
+    assert expected_isolated(UD, 20.0, 0.0, Metric.SQUARE) == pytest.approx(
+        direct, abs=derr)
 
 
 def test_unit_disk_closed_forms_match_generic_path():
@@ -220,6 +256,7 @@ def test_cross_mass_gaussian_closed_form():
 @pytest.mark.parametrize("model,separations", [
     (TABLE3, (0.5, 1.0, 2.0, 3.0, 3.7)),        # knot sums and differences
     (TABLE5, (0.25, 0.5, 1.5, 2.5, 3.0, 3.5)),
+    (DENSE, (float(DENSE_RADII[30]), 0.9, float(DENSE_RADII[50] + 2.0), 3.3)),
 ])
 def test_cross_mass_tables_vs_mc(model, separations):
     got = theory._cross_mass(model, np.array(separations))
@@ -296,6 +333,14 @@ def test_terms_decrease_with_density():
     assert all(x > y > 0.0 for x, y in zip(b2s, b2s[1:]))
 
 
+def test_log_normal_chen_stein_converges():
+    # g falls from 0.99 to 0.01 between radii 0.5 and 2 of a cutoff of
+    # 8.7: the radial and separation panels need breaks inside the profile
+    b1, b2 = chen_stein_terms(log_normal(4.0, 3.0), 2000.0, 0.0)
+    assert b1 > 0.0
+    assert b2 == pytest.approx(0.1188696530, rel=1e-7)
+
+
 def test_chen_stein_five_knot_table_is_fast():
     # 163 s with seven leaked IntegrationWarnings under nested quad
     chen_stein_terms.cache_clear()
@@ -303,6 +348,25 @@ def test_chen_stein_five_knot_table_is_fast():
     b1, b2 = chen_stein_terms(TABLE5, 2000.0, 0.0)
     assert time.perf_counter() - t0 < 5.0
     assert b1 > 0.0 and b2 > 0.0
+
+
+def test_dense_table_square_mean_and_chen_stein(monkeypatch):
+    # 64 knots inside the support, every one a break point: no adaptive
+    # quad, no QuadratureError (nested quad took minutes on 24 knots)
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    t0 = time.perf_counter()
+    value, err = expected_isolated(DENSE, 2000.0, 0.0, Metric.SQUARE,
+                                   return_error=True)
+    assert time.perf_counter() - t0 < 5.0
+    assert err <= 1e-9 * value
+    assert value > expected_isolated(DENSE, 2000.0, 0.0, Metric.TORUS)
+    b1, b2 = chen_stein_terms(DENSE, 2000.0, 0.0)
+    assert b1 > 0.0 and math.isfinite(b2) and b2 > 0.0
 
 
 def test_theory_does_not_nest_adaptive_quad(monkeypatch):
