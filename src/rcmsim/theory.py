@@ -246,43 +246,46 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     boundary, with K the visible kernel mass, on the panels between the
     breaks `base` at rule order n."""
     d, w = _panels(base, n)
-    if model.kind == "unit_disk":
-        # the corner overlap sets in with a (1 - h)^(3/2) kink on the arc
-        # h = hypot(d1, d2) = 1, weighted by g(cutoff): 1 here, eps for the
-        # kernels cut at eps.  Each row of d1 breaks its d2 panels there.
-        arc = np.sqrt(np.maximum(1.0 - d * d, 0.0))[:, None]
-        d2, w2 = _panels(np.sort(np.hstack([np.tile(base, (d.size, 1)), arc]), axis=1), n)
-        mass = _corner_mass(model, d[:, None], d2, n)
-        return (w @ np.exp(-scale * _corner_mass(model, d, math.inf, n)),
-                w @ np.sum(w2 * np.exp(-scale * mass), axis=1))
+    edge = _corner_mass(model, d, math.inf, n)
     if model.kind == "table":
         # arc integrals on d once: a corner node then costs O(1), not O(knots)
         zero = _arc_suffix(model, 0.0)
         arcs = _arc_suffix(model, d)
-        edge = 4.0 * zero[0] - 2.0 * arcs[:, 0]
 
         def corner_rows(rows):
             return (edge[rows, None] - 2.0 * arcs[:, 0]
                     + _arc_overlap(model, zero, arcs[rows, None], d[rows, None], arcs, d))
     else:
-        edge = _corner_mass(model, d, math.inf, n)
-
         def corner_rows(rows):
             return _corner_mass(model, d[rows, None], d, n)
 
+    # the corner overlap sets in on the arc hypot(d1, d2) = cutoff with a
+    # (cutoff - h)^(3/2) kink weighted by g(cutoff): 1 for the unit disk,
+    # else the truncation eps, which a model may set large.  In each row of
+    # d1 the d2 panel the arc crosses is replaced by its two parts.
+    arc = np.sqrt(np.maximum(model.cutoff**2 - d * d, 0.0))
+    crossed = np.clip(np.searchsorted(base, arc, side="right") - 1, 0, base.size - 2)
+    split_d, split_w = _panels(np.stack([base[crossed], arc, base[crossed + 1]], axis=1), n)
+    panel = np.repeat(np.arange(base.size - 1), n)
     q_corner = 0.0
     step = max(1, _BLOCK // d.size)
     for lo in range(0, d.size, step):
         rows = slice(lo, lo + step)
-        q_corner += w[rows] @ np.exp(-scale * corner_rows(rows)) @ w
+        kept = np.where(panel == crossed[rows, None], 0.0, w)
+        split = _corner_mass(model, d[rows, None], split_d[rows], n)
+        q_corner += w[rows] @ (np.sum(kept * np.exp(-scale * corner_rows(rows)), axis=1)
+                               + np.sum(split_w[rows] * np.exp(-scale * split), axis=1))
     return w @ np.exp(-scale * edge), q_corner
 
 
 def _corner_mass(model: ConnectionModel, d1, d2, n: int):
     """Kernel mass visible at scaled distances d1, d2 from two perpendicular
-    boundaries (d2 = inf: an edge strip) at rule order n; exact for the disk."""
+    boundaries (d2 = inf: an edge strip) at rule order n; exact for the disk
+    and for tables."""
     if model.kind == "unit_disk":
         return math.pi - _disk_cap(d1) - _disk_cap(d2) + _disk_corner(d1, d2)
+    if model.kind == "table":
+        return _visible_mass_table(model, (d1, math.inf, d2, math.inf))
     return _visible_mass_rule(model, (d1, math.inf, d2, math.inf), n)
 
 

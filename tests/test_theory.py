@@ -157,18 +157,20 @@ def test_table_visible_mass_closed_form_matches_rule(model):
             rule, rel=1e-12, abs=1e-14), deltas
 
 
-def test_unit_disk_square_converges_at_low_density():
-    # the unit disk's corner overlap sets in with a (1 - h)^(3/2) kink on
-    # the arc h = 1; without a panel break there the rule stalls near
-    # 1e-8 and raises below about rho = 2000
-    for rho in (20.0, 40.0, 100.0):
-        value, err = expected_isolated(UD, rho, 0.0, Metric.SQUARE,
+@pytest.mark.parametrize("model", [UD, gaussian(cutoff_eps=0.1)])
+def test_square_converges_at_low_density_with_cutoff_jump(model):
+    # the corner overlap sets in on the arc hypot(d1, d2) = cutoff with a
+    # (cutoff - h)^(3/2) kink weighted by g(cutoff); without a panel break
+    # there the rule stalls near 1e-8 and raises at low density
+    for rho, b in ((20.0, 0.0), (40.0, -2.0), (100.0, -2.0)):
+        value, err = expected_isolated(model, rho, b, Metric.SQUARE,
                                        return_error=True)
         assert err <= 1e-9 * value, rho
-    r = connection_radius(UD.C, 20.0, 0.0)
-    direct, derr = theory._expected_isolated_square_direct(UD, 20.0, r)
-    assert expected_isolated(UD, 20.0, 0.0, Metric.SQUARE) == pytest.approx(
-        direct, abs=derr)
+    if model is UD:
+        r = connection_radius(UD.C, 20.0, 0.0)
+        direct, derr = theory._expected_isolated_square_direct(UD, 20.0, r)
+        assert expected_isolated(UD, 20.0, 0.0, Metric.SQUARE) == pytest.approx(
+            direct, abs=derr)
 
 
 def test_unit_disk_closed_forms_match_generic_path():
