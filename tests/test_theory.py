@@ -353,8 +353,8 @@ def test_chen_stein_five_knot_table_is_fast():
 
 
 def test_dense_table_square_mean_and_chen_stein(monkeypatch):
-    # 64 knots inside the support, every one a break point: no adaptive
-    # quad, no QuadratureError (nested quad took minutes on 24 knots)
+    # 65 knots, every one a break point: no adaptive quad and no
+    # QuadratureError (nested quad took minutes on 25 knots)
     import scipy.integrate
 
     def refuse(*args, **kwargs):
