@@ -65,21 +65,7 @@ EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_IO = 4
 
-TRIAL_COLUMNS = ("rho", "b", "metric", "trial", "n_points", "n_edges",
-                 "isolated", "n_components", "connected", "mean_degree",
-                 "isolated_torus", "isolated_square", "isolated_boundary")
-
-SUMMARY_COLUMNS = ("rho", "b", "metric", "trials", "skipped", "reason",
-                   "mean_isolated", "var_isolated", "ci99_isolated",
-                   "p_no_isolated", "ci99_p_no_isolated",
-                   "frac_connected", "ci99_frac_connected",
-                   "mean_degree", "ci99_mean_degree",
-                   "tv_to_poisson",
-                   "theory_isolated", "theory_asymptotic_mean",
-                   "theory_prob_no_isolated", "theory_mean_degree",
-                   "theory_boundary_excess",
-                   "chen_stein_b1", "chen_stein_b2",
-                   "mean_boundary", "ci99_boundary")
+TRIAL_COLUMNS = tuple(f.name for f in dataclass_fields(TrialRecord))
 
 _CONFIG_KEYS = {"model", "rho_list", "b_list", "metric", "trials",
                 "master_seed", "epsilon", "output_path", "format"}
@@ -131,6 +117,9 @@ class CellSummary:
     chen_stein_b2: float | None = None
     mean_boundary: float | None = None
     ci99_boundary: float | None = None
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in dataclass_fields(CellSummary))
 
 
 @dataclass(frozen=True)
@@ -570,12 +559,12 @@ def _cmd_theory(args) -> int:
         "truncation_bias": truncation_bias(model, args.rho, args.b),
     }
     try:
-        b1, b2 = chen_stein_terms(model, args.rho, args.b,
-                                  ChenSteinParams(epsilon=args.epsilon))
-        doc["chen_stein_b1"] = b1
-        doc["chen_stein_b2"] = b2
+        b1, b2, err_b2 = chen_stein_terms(model, args.rho, args.b,
+                                          ChenSteinParams(epsilon=args.epsilon),
+                                          return_error=True)
+        doc.update(chen_stein_b1=b1, chen_stein_b2=b2, quad_error_b2=err_b2)
     except RcmError as e:
-        doc["chen_stein_b1"] = doc["chen_stein_b2"] = None
+        doc["chen_stein_b1"] = doc["chen_stein_b2"] = doc["quad_error_b2"] = None
         doc["chen_stein_error"] = str(e)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.output:

@@ -12,8 +12,10 @@ Pair enumeration uses a bucket grid with cell size >= r * cutoff and a
 because the truncated kernel vanishes beyond r * cutoff.  When fewer than
 three cells fit on a side the grid is a single cell, whose same-cell
 triangle lists every pair; there is no separate O(n^2) path.  Candidate
-pairs are realized in slices of fixed size, so memory stays bounded for
-any density and kernel support.
+pairs are realized in cell order and in slices of fixed size, so memory
+stays bounded for any density and kernel support.  A squared-distance
+filter with slack passes a superset of the pairs in range to the exact
+hypot test, the coin and g; edges are sorted by the int64 key i * n + j.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
 # source's run); smaller slices cost no measurable time, and at 2^20 a
 # Gaussian trial at rho 2000 still fit in one slice of about 66 MB
 _SLICE_PAIRS = 1 << 16
-
-_EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class SampleParams:
@@ -174,26 +173,8 @@ def thin_edges(sample: NetworkSample, keep_ratio, stream_tag: int) -> NetworkSam
     (master_seed, trial_index, stream_tag, i, j), independent of the
     stream that realized the edges.
     """
-    if stream_tag in (streams.TAG_POINT_COUNT, streams.TAG_POINT_COORDS,
-                      streams.TAG_EDGES):
-        raise ParameterError(f"stream tag {stream_tag} is reserved by the sampler")
-    edges = sample.edges
-    if edges.shape[0] == 0:
-        return NetworkSample(sample.params, sample.points, edges.copy())
-    pa = sample.points[edges[:, 0]]
-    pb = sample.points[edges[:, 1]]
-    ratio = np.asarray(keep_ratio(pa, pb), dtype=np.float64)
-    if ratio.shape != (edges.shape[0],):
-        raise ModelError(
-            f"keep_ratio returned shape {ratio.shape}, expected ({edges.shape[0]},)"
-        )
-    if np.any(ratio < -1e-12) or np.any(ratio > 1.0 + 1e-12):
-        raise ModelError("keep probability outside [0, 1]")
-    ratio = np.clip(ratio, 0.0, 1.0)
-    key = streams.stream_key(sample.params.master_seed,
-                             sample.params.trial_index, stream_tag)
-    u = streams.pair_uniform_array(key, edges[:, 0], edges[:, 1])
-    return NetworkSample(sample.params, sample.points, edges[u < ratio])
+    return NetworkSample(sample.params, sample.points,
+                         sample.edges[_keep_mask(sample, keep_ratio, stream_tag)])
 
 
 def couple_torus_to_square(params: SampleParams) -> CoupledSample:
@@ -220,9 +201,9 @@ def couple_torus_to_square(params: SampleParams) -> CoupledSample:
         # realized torus edges always have g_t > 0
         return np.divide(g_e, g_t, out=np.zeros_like(g_e), where=g_t > 0.0)
 
-    square = thin_edges(torus, ratio, streams.TAG_COUPLING)
-    removed = _edge_difference(torus.edges, square.edges, torus.n_points)
-    return CoupledSample(params, points, torus.edges, square.edges, removed)
+    keep = _keep_mask(torus, ratio, streams.TAG_COUPLING)
+    edges = torus.edges
+    return CoupledSample(params, points, edges, edges[keep], edges[~keep])
 
 
 def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> float:
@@ -263,6 +244,29 @@ def _write_edge_list(sample: NetworkSample, fh) -> None:
 # internals
 
 
+def _keep_mask(sample: NetworkSample, keep_ratio, stream_tag: int) -> np.ndarray:
+    """Which edges `thin_edges` keeps, as a boolean mask over sample.edges."""
+    if stream_tag in (streams.TAG_POINT_COUNT, streams.TAG_POINT_COORDS,
+                      streams.TAG_EDGES):
+        raise ParameterError(f"stream tag {stream_tag} is reserved by the sampler")
+    edges = sample.edges
+    if edges.shape[0] == 0:
+        return np.ones(0, dtype=bool)
+    pa = sample.points[edges[:, 0]]
+    pb = sample.points[edges[:, 1]]
+    ratio = np.asarray(keep_ratio(pa, pb), dtype=np.float64)
+    if ratio.shape != (edges.shape[0],):
+        raise ModelError(
+            f"keep_ratio returned shape {ratio.shape}, expected ({edges.shape[0]},)"
+        )
+    if np.any(ratio < -1e-12) or np.any(ratio > 1.0 + 1e-12):
+        raise ModelError("keep probability outside [0, 1]")
+    ratio = np.clip(ratio, 0.0, 1.0)
+    key = streams.stream_key(sample.params.master_seed,
+                             sample.params.trial_index, stream_tag)
+    return streams.pair_uniform_array(key, edges[:, 0], edges[:, 1]) < ratio
+
+
 def _grid_side(reach: float, n: int) -> int:
     # more cells than points buys nothing; below three cells a side the
     # wrapped half neighborhood would visit a cell twice, so use one cell
@@ -270,27 +274,12 @@ def _grid_side(reach: float, n: int) -> int:
     return m if m >= 3 else 1
 
 
-def _realize_edges(params: SampleParams, points: np.ndarray, key: int,
-                   cand_i: np.ndarray, cand_j: np.ndarray):
-    """Distance-filter candidate pairs and flip their connection coins;
-    returns the connected pairs as (lo, hi) index arrays."""
-    lo = np.minimum(cand_i, cand_j)
-    hi = np.maximum(cand_i, cand_j)
-    d = distance_arrays(params.metric,
-                        points[lo, 0], points[lo, 1],
-                        points[hi, 0], points[hi, 1])
-    near = d <= params.r * params.model.cutoff
-    lo, hi, d = lo[near], hi[near], d[near]
-    connected = streams.pair_uniform_array(key, lo, hi) < params.model.g(d / params.r)
-    return lo[connected], hi[connected]
-
-
 def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
                 m: int) -> np.ndarray:
     """Edges over an m x m bucket grid, sorted lexicographically.
 
-    Every candidate run is (source point, first sorted position, count):
-    the source pairs with the next `count` points in cell order.  Same-cell
+    Every candidate run is (source position, first position, count) in
+    cell order: the source pairs with the next `count` points.  Same-cell
     runs are the tails of each cell; cross-cell runs cover the half
     neighborhood, which m >= 3 keeps free of repeated cells.
     """
@@ -299,12 +288,13 @@ def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
     cy = np.clip(((points[:, 1] - LO) * m).astype(np.int64), 0, m - 1)
     cell = cx * m + cy
     order = np.argsort(cell, kind="stable")
-    starts = np.searchsorted(cell[order], np.arange(m * m + 1))
+    cx, cy, cell = cx[order], cy[order], cell[order]
+    starts = np.searchsorted(cell, np.arange(m * m + 1))
 
     pos = np.arange(n)
-    src = [order]
+    src = [pos]
     first = [pos + 1]
-    count = [starts[cell[order] + 1] - pos - 1]
+    count = [starts[cell + 1] - pos - 1]
     for ox, oy in (_HALF_OFFSETS if m > 1 else ()):
         tx = cx + ox
         ty = cy + oy
@@ -319,38 +309,44 @@ def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
         src.append(rows)
         first.append(starts[target])
         count.append(starts[target + 1] - starts[target])
-    lo, hi = _expand_runs(params, points, key, order, np.concatenate(src),
-                          np.concatenate(first), np.concatenate(count))
-    by_pair = np.lexsort((hi, lo))
-    return np.column_stack((lo[by_pair], hi[by_pair]))
+    pair = np.sort(_expand_runs(params, points[order, 0], points[order, 1], order, key,
+                                np.concatenate(src), np.concatenate(first),
+                                np.concatenate(count)))
+    return np.column_stack((pair // n, pair % n))
 
 
-def _expand_runs(params: SampleParams, points: np.ndarray, key: int,
-                 order: np.ndarray, src: np.ndarray, first: np.ndarray,
-                 count: np.ndarray):
-    """Realize the pairs (src[k], order[first[k] + t]) for t < count[k],
-    about _SLICE_PAIRS candidates at a time; returns (lo, hi) arrays."""
+def _expand_runs(params: SampleParams, xs: np.ndarray, ys: np.ndarray,
+                 order: np.ndarray, key: int, src: np.ndarray, first: np.ndarray,
+                 count: np.ndarray) -> np.ndarray:
+    """Realize the pairs of cell-order positions (src[k], first[k] + t),
+    t < count[k], where position p holds point order[p] at (xs[p], ys[p]),
+    about _SLICE_PAIRS candidates at a time; returns edge keys lo * n + hi.
+    The squared distance with slack keeps a superset of the pairs in range
+    for the exact test; the torus fold is odd and hypot even in the
+    difference, so a pair's distance does not depend on its point order."""
+    torus = params.metric is Metric.TORUS
+    r, g = params.r, params.model.g
+    reach = r * params.model.cutoff
+    bound = reach * reach * (1.0 + 1e-9)
     offs = np.concatenate(([0], np.cumsum(count)))
     cuts = np.searchsorted(offs, np.arange(_SLICE_PAIRS, offs[-1], _SLICE_PAIRS))
     bounds = np.concatenate(([0], cuts, [count.size]))
-    lo_parts = []
-    hi_parts = []
+    parts = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         runs = count[a:b]
-        cand_i = np.repeat(src[a:b], runs)
-        cand_j = order[np.repeat(first[a:b] - offs[a:b], runs)
-                       + np.arange(offs[a], offs[b])]
-        lo, hi = _realize_edges(params, points, key, cand_i, cand_j)
-        lo_parts.append(lo)
-        hi_parts.append(hi)
-    return np.concatenate(lo_parts), np.concatenate(hi_parts)
-
-
-def _edge_difference(superset: np.ndarray, subset: np.ndarray, n: int) -> np.ndarray:
-    if superset.shape[0] == 0:
-        return _EMPTY_EDGES.copy()
-    span = max(n, 1)
-    keys_sup = superset[:, 0].astype(np.int64) * span + superset[:, 1]
-    keys_sub = subset[:, 0].astype(np.int64) * span + subset[:, 1]
-    keep = ~np.isin(keys_sup, keys_sub)
-    return np.ascontiguousarray(superset[keep])
+        pi = np.repeat(src[a:b], runs)
+        pj = np.repeat(first[a:b] - offs[a:b], runs) + np.arange(offs[a], offs[b])
+        dx = np.repeat(xs[src[a:b]], runs) - xs[pj]
+        dy = np.repeat(ys[src[a:b]], runs) - ys[pj]
+        if torus:
+            dx -= np.round(dx)
+            dy -= np.round(dy)
+        near = np.flatnonzero(dx * dx + dy * dy <= bound)
+        d = np.hypot(dx[near], dy[near])
+        inside = d <= reach
+        near, d = near[inside], d[inside]
+        i, j = order[pi[near]], order[pj[near]]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        connected = streams.pair_uniform_array(key, lo, hi) < g(d / r)
+        parts.append(lo[connected] * order.size + hi[connected])
+    return np.concatenate(parts)

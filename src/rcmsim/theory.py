@@ -217,13 +217,22 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     halvings = np.arange(1, math.log2(cutoff * scale))
     base = np.unique([0.0, *(cutoff * 0.5**halvings), *_kinks(model)])
 
+    # the mass visible at (d1, d2) is at least K(d1, 0), half the edge mass
+    # at d1, which grows with d1: corner strips of d1 over a panel [a, b]
+    # add at most 4 r^2 (b - a) cutoff exp(-scale K(a, inf) / 2).  Strips
+    # below 1e-12 of the interior, a lower bound on the value, are left out
+    # and their bound goes to the error
+    edge = _corner_mass(model, base[:-1], math.inf, _ORDERS[-1])
+    strip = 4.0 * r * r * np.diff(base) * cutoff * np.exp(-0.5 * scale * edge)
+    skip = strip < 1e-3 * _REL_TOL * interior
+
     def total(n: int) -> float:
-        q_edge, q_corner = _boundary_integrals(model, base, n, scale)
+        q_edge, q_corner = _boundary_integrals(model, base, n, scale, ~skip)
         return rho * (interior + 4.0 * (1.0 - 2.0 * reach) * r * q_edge
                       + 4.0 * r * r * q_corner)
 
     value, err = _converged(total, "square-metric isolated mean")
-    return float(value), err + rho * interior * scale * c_err
+    return float(value), err + rho * (strip[skip].sum() + interior * scale * c_err)
 
 
 def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: float):
@@ -240,13 +249,15 @@ def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: floa
 
 
 def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
-                        scale: float) -> tuple[float, float]:
+                        scale: float, corner: np.ndarray) -> tuple[float, float]:
     """Integrals of exp(-scale K) over the edge profile, d in [0, cutoff],
     and over the corner square [0, cutoff]^2 of scaled distances to the
     boundary, with K the visible kernel mass, on the panels between the
-    breaks `base` at rule order n."""
+    breaks `base` at rule order n; the corner takes only the panels of d1
+    where `corner` is true."""
     d, w = _panels(base, n)
     edge = _corner_mass(model, d, math.inf, n)
+    live = np.flatnonzero(np.repeat(corner, n))
     if model.kind == "table":
         # arc integrals on d once: a corner node then costs O(1), not O(knots)
         zero = _arc_suffix(model, 0.0)
@@ -269,8 +280,8 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     panel = np.repeat(np.arange(base.size - 1), n)
     q_corner = 0.0
     step = max(1, _BLOCK // d.size)
-    for lo in range(0, d.size, step):
-        rows = slice(lo, lo + step)
+    for lo in range(0, live.size, step):
+        rows = live[lo:lo + step]
         kept = np.where(panel == crossed[rows, None], 0.0, w)
         split = _corner_mass(model, d[rows, None], split_d[rows], n)
         q_corner += w[rows] @ (np.sum(kept * np.exp(-scale * corner_rows(rows)), axis=1)
@@ -539,8 +550,10 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
-                     params: ChenSteinParams = ChenSteinParams()) -> tuple[float, float]:
-    """Dependence terms (b1, b2) for the torus isolated-node count.
+                     params: ChenSteinParams = ChenSteinParams(), *,
+                     return_error: bool = False):
+    """Dependence terms (b1, b2) for the torus isolated-node count, and with
+    return_error the quadrature error of b2 as a third entry.
 
     b1 = 4 pi E^2 ((log rho + b) / (C rho))^(1 - eps) with E the finite-rho
     torus expectation; b2 integrates the joint-isolation weight over the
@@ -579,8 +592,9 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
         return w @ (2.0 * math.pi * s * (1.0 - model.g(s))
                     * np.exp(-mass_scale * (2.0 * c_t - cross)))
 
-    value, _ = _converged(integral, "dependence integral", _B2_REL_TOL)
-    return b1, rho * rho * r * r * float(value)
+    value, err = _converged(integral, "dependence integral", _B2_REL_TOL)
+    b2, b2_error = rho * rho * r * r * float(value), rho * rho * r * r * err
+    return (b1, b2, b2_error) if return_error else (b1, b2)
 
 
 def chen_stein_tv_bound(b1: float, b2: float, b3: float, lam: float) -> float:

@@ -354,6 +354,7 @@ def test_theory_subcommand(tmp_path, capsys):
     assert doc["expected_isolated_square"] == pytest.approx(
         doc["expected_isolated_torus"] + doc["boundary_excess"])
     assert doc["chen_stein_b1"] > doc["chen_stein_b2"] * 0.0
+    assert 0.0 <= doc["quad_error_b2"] <= 1e-7 * doc["chen_stein_b2"]
     assert doc["truncation_bias"] == 0.0
     assert doc["mean_degree"] == pytest.approx(math.log(1000.0))
 
@@ -375,6 +376,7 @@ def test_theory_subcommand_reports_bound_failure(tmp_path, capsys):
                  "--b", "0"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["chen_stein_b1"] is None and doc["chen_stein_b2"] is None
+    assert doc["quad_error_b2"] is None
     assert "chen_stein_error" in doc
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from rcmsim import sampler, streams
 from rcmsim.errors import ModelError, ParameterError
-from rcmsim.geometry import Metric
+from rcmsim.geometry import Metric, distance_arrays
 from rcmsim.models import (connection_radius, eval_g, gaussian, log_normal,
                            table_model, unit_disk)
 from rcmsim.sampler import (SampleParams, build_graph, couple_torus_to_square,
@@ -97,6 +97,27 @@ def test_grid_matches_brute_force_across_models_and_metrics():
         got = build_graph(p, pts).edges
         want = brute_force_edges(p, pts)
         assert np.array_equal(got, want), f"case {case} {model.kind} {metric}"
+
+
+@pytest.mark.parametrize("metric", [Metric.TORUS, Metric.SQUARE])
+def test_pairs_at_the_range_boundary_match_all_pairs(metric):
+    # unit disk: g = 1 in range, so the edges are exactly the pairs with
+    # d <= r.  Pairs within a few ulps of r, a third of them next to the
+    # seam (across it on the torus), catch a distance prefilter that drops
+    # a pair in range; the all-pairs rule shares no code with the grid
+    p = _params(2000.0, 0.0, metric=metric, seed=5)
+    rng = np.random.default_rng(17)
+    k = np.tile(np.arange(-4, 5), 50)
+    sep = p.r * (1.0 + k * 2.0**-52)
+    angle = rng.uniform(0.0, 2.0 * math.pi, k.size)
+    a = rng.uniform(-0.5, 0.5, (k.size, 2))
+    a[::3] = 0.5 - rng.uniform(0.0, p.r, (len(a[::3]), 2))
+    b = a + sep[:, None] * np.column_stack((np.cos(angle), np.sin(angle)))
+    pts = np.concatenate([a, (b + 0.5) % 1.0 - 0.5])
+    i, j = np.triu_indices(len(pts), 1)
+    d = distance_arrays(metric, pts[i, 0], pts[i, 1], pts[j, 0], pts[j, 1])
+    want = np.column_stack((i, j))[d <= p.r]
+    assert np.array_equal(build_graph(p, pts).edges, want)
 
 
 def test_exact_scan_matches_grid():

@@ -23,7 +23,7 @@ from rcmsim.theory import (ChenSteinParams, DiscreteDistribution,
                            chen_stein_tv_bound, empirical_distribution,
                            expected_isolated, pair_correlation_factor,
                            poisson_pmf, theory_report, tv_distance)
-from oracles import (gaussian_square_mean, lens_area, mc_b2_unit_disk,
+from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
                      mc_cross_mass, mc_disk_mass, mc_folded_mass,
                      mc_lens_area, mc_visible_mass, poisson_pmf_factorial)
 
@@ -74,6 +74,27 @@ def test_gaussian_square_error_covers_erf_oracle(rho):
     value, err = expected_isolated(GAUSS, rho, 0.0, Metric.SQUARE,
                                    return_error=True)
     assert abs(value - gaussian_square_mean(rho, 0.0)) <= err
+
+
+@pytest.mark.parametrize("model", [GAUSS, TABLE3, log_normal(4.0, 3.0)])
+def test_skipped_corner_rows_stay_within_reported_error(model, monkeypatch):
+    # at rho 1e100 every corner strip is below 1e-20 of the value; leaving
+    # them out must cost no more than the error it adds to the estimate
+    theory._expected_isolated_square.cache_clear()
+    try:
+        t0 = time.perf_counter()
+        value, err = expected_isolated(model, 1e100, 3.0, Metric.SQUARE,
+                                       return_error=True)
+        assert time.perf_counter() - t0 < 1.0
+        full = theory._boundary_integrals
+        monkeypatch.setattr(theory, "_boundary_integrals",
+                            lambda *args: full(*args[:-1], np.ones_like(args[-1])))
+        theory._expected_isolated_square.cache_clear()
+        want = expected_isolated(model, 1e100, 3.0, Metric.SQUARE)
+    finally:
+        theory._expected_isolated_square.cache_clear()
+    assert err <= 1e-9 * value
+    assert abs(value - want) <= err
 
 
 def test_log_normal_square_is_fast_and_quiet():
@@ -333,6 +354,15 @@ def test_terms_decrease_with_density():
     b2s = [v[1] for v in vals]
     assert all(x > y > 0.0 for x, y in zip(b1s, b1s[1:]))
     assert all(x > y > 0.0 for x, y in zip(b2s, b2s[1:]))
+
+
+@pytest.mark.parametrize("rho", [2000.0, 1e4])
+def test_gaussian_b2_error_covers_quad_oracle(rho):
+    # 1-D adaptive quad with the closed-form cross mass (pi/2) e^{-s^2/2}
+    b1, b2, err = chen_stein_terms(GAUSS, rho, 0.0, return_error=True)
+    assert (b1, b2) == chen_stein_terms(GAUSS, rho, 0.0)
+    assert 0.0 < err <= 1e-7 * b2
+    assert abs(b2 - gaussian_b2(GAUSS, rho, 0.0, 0.25)) <= err + 1e-12 * b2
 
 
 def test_log_normal_chen_stein_converges():
