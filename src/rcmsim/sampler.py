@@ -35,9 +35,9 @@ from .geometry import LO, Metric, distance_arrays
 _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 # candidate pairs realized at once (a slice overshoots by at most one
-# source's run); smaller slices cost no measurable time, and at 2^20 a
-# Gaussian trial at rho 2000 still fit in one slice of about 66 MB
-_SLICE_PAIRS = 1 << 16
+# source's run); the scratch memory grows with it, about 4.5 MB traced at
+# 2^15 and 7.8 MB at 2^16 on a Gaussian trial at rho 2000; 2^16 is no faster
+_SLICE_PAIRS = 1 << 15
 
 @dataclass(frozen=True)
 class SampleParams:
