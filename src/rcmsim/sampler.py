@@ -309,21 +309,21 @@ def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
         src.append(rows)
         first.append(starts[target])
         count.append(starts[target + 1] - starts[target])
-    pair = np.sort(_expand_runs(params, points[order, 0], points[order, 1], order, key,
-                                np.concatenate(src), np.concatenate(first),
-                                np.concatenate(count)))
+    pair = np.sort(_expand_runs(params, points, order, key, np.concatenate(src),
+                                np.concatenate(first), np.concatenate(count)))
     return np.column_stack((pair // n, pair % n))
 
 
-def _expand_runs(params: SampleParams, xs: np.ndarray, ys: np.ndarray,
-                 order: np.ndarray, key: int, src: np.ndarray, first: np.ndarray,
+def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
+                 key: int, src: np.ndarray, first: np.ndarray,
                  count: np.ndarray) -> np.ndarray:
     """Realize the pairs of cell-order positions (src[k], first[k] + t),
-    t < count[k], where position p holds point order[p] at (xs[p], ys[p]),
-    about _SLICE_PAIRS candidates at a time; returns edge keys lo * n + hi.
+    t < count[k], where position p holds point order[p], about
+    _SLICE_PAIRS candidates at a time; returns edge keys lo * n + hi.
     The squared distance with slack keeps a superset of the pairs in range
     for the exact test; the torus fold is odd and hypot even in the
     difference, so a pair's distance does not depend on its point order."""
+    xs, ys = points[order, 0], points[order, 1]
     torus = params.metric is Metric.TORUS
     r, g = params.r, params.model.g
     reach = r * params.model.cutoff

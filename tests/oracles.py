@@ -265,8 +265,8 @@ def gaussian_b2(model, rho, b, epsilon):
     (pi/2) exp(-s^2 / 2) for the pair at s and its torus image at 1/r - s:
     rho^2 r^2 int_0^{2 r^-eps} 2 pi s (1 - g(s))
     exp(-rho r^2 (2 C_t - X(s) - X(1/r - s))) ds,
-    C_t = pi (1 - exp(-cutoff^2)).  The truncation changes X by about
-    1e-12 of its value at the separations involved."""
+    C_t = pi (1 - exp(-cutoff^2)).  At separations below 5.6 the
+    truncation changes X by less than 1e-12."""
     from scipy import integrate
 
     cutoff = model.cutoff

@@ -77,7 +77,7 @@ def test_gaussian_square_error_covers_erf_oracle(rho):
 
 
 @pytest.mark.parametrize("model", [GAUSS, TABLE3, log_normal(4.0, 3.0)])
-def test_skipped_corner_rows_stay_within_reported_error(model, monkeypatch):
+def test_skipped_corner_strips_stay_within_reported_error(model, monkeypatch):
     # at rho 1e100 every corner strip is below 1e-20 of the value; leaving
     # them out must cost no more than the error it adds to the estimate
     theory._expected_isolated_square.cache_clear()
