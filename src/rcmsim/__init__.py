@@ -14,8 +14,8 @@ from .errors import (ConfigError, ModelError, ParameterError, QuadratureError,
                      RcmError)
 from .geometry import Metric, Point2, distance, distance_arrays
 from .models import (ConnectionModel, ModelValidationReport, connection_radius,
-                     eval_g, gaussian, integral_C, load_table, log_normal,
-                     table_model, unit_disk, validate_model)
+                     eval_g, gaussian, load_table, log_normal, table_model,
+                     unit_disk, validate_model)
 from .sampler import (CoupledSample, NetworkSample, SampleParams, build_graph,
                       couple_torus_to_square, sample_points, thin_edges,
                       truncation_bias, write_edge_list)
@@ -60,7 +60,6 @@ __all__ = [
     "eval_g",
     "expected_isolated",
     "gaussian",
-    "integral_C",
     "isolated_count",
     "load_table",
     "log_normal",

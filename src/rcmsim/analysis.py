@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .sampler import CoupledSample, NetworkSample
 
@@ -45,6 +43,9 @@ def components(sample: NetworkSample) -> tuple[int, bool]:
 
     Empty and singleton graphs count as connected.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = sample.n_points
     edges = sample.edges
     graph = coo_matrix((np.ones(edges.shape[0], dtype=np.int8),

@@ -52,8 +52,9 @@ from .models import (ConnectionModel, gaussian, load_table, log_normal,
                      table_model, unit_disk)
 from .sampler import (SampleParams, build_graph, couple_torus_to_square,
                       sample_points, truncation_bias)
-from .theory import (ChenSteinParams, chen_stein_terms, empirical_distribution,
-                     expected_isolated, poisson_pmf, theory_report, tv_distance)
+from .theory import (ChenSteinParams, asymptotic_report, chen_stein_terms,
+                     empirical_distribution, expected_isolated, poisson_pmf,
+                     theory_report, tv_distance)
 
 SEED_ENV = "RCM_SEED"
 SKIP_REASON = "log rho + b <= 0"
@@ -111,6 +112,7 @@ class CellSummary:
     theory_isolated: float | None = None
     theory_asymptotic_mean: float | None = None
     theory_prob_no_isolated: float | None = None
+    theory_p_no_isolated: float | None = None
     theory_mean_degree: float | None = None
     theory_boundary_excess: float | None = None
     chen_stein_b1: float | None = None
@@ -401,6 +403,7 @@ def _summarize_cell(config: CampaignConfig, rho: float, b: float,
         theory_isolated=None if report is None else report.expected_isolated,
         theory_asymptotic_mean=None if report is None else report.asymptotic_mean,
         theory_prob_no_isolated=None if report is None else report.prob_no_isolated,
+        theory_p_no_isolated=None if report is None else math.exp(-report.expected_isolated),
         theory_mean_degree=None if report is None else report.mean_degree,
         theory_boundary_excess=None if report is None else report.boundary_excess,
         chen_stein_b1=b1, chen_stein_b2=b2,
@@ -538,26 +541,29 @@ def _cmd_theory(args) -> int:
     model = _model_from_arg(args.model)
     if not model.validation.ok:
         raise ModelError(f"model failed validation: {model.validation}")
-    e_tor, err_tor = expected_isolated(model, args.rho, args.b, Metric.TORUS,
-                                       return_error=True)
     e_sq, err_sq = expected_isolated(model, args.rho, args.b, Metric.SQUARE,
                                      return_error=True)
-    report = theory_report(model, args.rho, args.b, Metric.TORUS)
+    limits = asymptotic_report(args.rho, args.b)
     doc = {
         "model": model.kind,
         "rho": args.rho,
         "b": args.b,
         "epsilon": args.epsilon,
-        "expected_isolated_torus": e_tor,
-        "quad_error_torus": err_tor,
         "expected_isolated_square": e_sq,
         "quad_error_square": err_sq,
-        "boundary_excess": report.boundary_excess,
-        "asymptotic_mean": report.asymptotic_mean,
-        "prob_no_isolated": report.prob_no_isolated,
-        "mean_degree": report.mean_degree,
+        "asymptotic_mean": limits.asymptotic_mean,
+        "prob_no_isolated": limits.prob_no_isolated,
+        "mean_degree": limits.mean_degree,
         "truncation_bias": truncation_bias(model, args.rho, args.b),
     }
+    try:
+        e_tor, err_tor = expected_isolated(model, args.rho, args.b, Metric.TORUS,
+                                           return_error=True)
+        doc.update(expected_isolated_torus=e_tor, quad_error_torus=err_tor,
+                   boundary_excess=max(0.0, e_sq - e_tor))
+    except ParameterError as e:
+        doc["expected_isolated_torus"] = doc["quad_error_torus"] = doc["boundary_excess"] = None
+        doc["torus_error"] = str(e)
     try:
         b1, b2, err_b2 = chen_stein_terms(model, args.rho, args.b,
                                           ChenSteinParams(epsilon=args.epsilon),

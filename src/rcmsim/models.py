@@ -10,19 +10,31 @@ Kernels are truncated: beyond `cutoff` the evaluated g is exactly 0, with
 cutoff chosen as the smallest x where the raw profile drops to the
 truncation epsilon (1e-12 by default).  For table kernels the truncation
 is part of the definition; for analytic kinds the mass beyond the cutoff
-is tracked as an error estimate and as the omitted-edge bias reported by
-the sampler.
+is tracked as C_error and as the omitted-edge bias reported by the
+sampler.
 
-Supported kinds:
+Supported kinds, each with its C in closed form:
 
   unit_disk    g(x) = 1 for x <= 1, else 0.  C = pi, cutoff exactly 1.
-  gaussian     g(x) = exp(-x^2).  C = pi.
+  gaussian     g(x) = exp(-x^2).  C = pi, the untruncated mass;
+               C_error = pi exp(-cutoff^2).
   log_normal   g(x) = (1/2) erfc(10 eta log10(x) / (sqrt(2) sigma_db)),
                g(0) = 1.  The standard dB-shadowing form with spread
                sigma_db and path-loss exponent eta; results quoted for
-               this kind are specific to this functional shape.
+               this kind are specific to this functional shape.  In
+               t = ln x, g = (1/2) erfc(a t) with
+               a = 10 eta / (sqrt(2) sigma_db ln 10), and one integration
+               by parts gives the truncated mass, with T = ln cutoff,
+                   C = (pi/2) e^{2T} erfc(a T) + (pi/2) e^{1/a^2} erfc(1/a - a T).
+               The untruncated mass is pi e^{1/a^2} = pi exp(2 sigma_db^2 / xi^2),
+               xi = 10 eta / ln 10 (Bettstetter and Hartmann, Wireless
+               Networks 11, 2005); C_error is the tail pi e^{1/a^2} - C.
   table        linear interpolation of (radius, value) knots, clamped to
                the first/last value outside the knot span, 0 beyond cutoff.
+               Linear between knots, so C sums int 2 pi x (alpha + beta x) dx
+               over the pieces; C_error = 0.  A table that never drops to
+               the epsilon keeps its clamped plateau, above eps, forever:
+               C = C_error = inf.
 """
 
 from __future__ import annotations
@@ -32,14 +44,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, special
 
-from .errors import ModelError, ParameterError, QuadratureError
+from .errors import ModelError, ParameterError
 
 TRUNCATION_EPS = 1e-12
-QUAD_ABS_TOL = 1e-9
-# panel budget for the adaptive radial quadrature
-QUAD_LIMIT = 200
 # proxy tolerance for the x^2 log^2 x g(x) tail check
 TAIL_TOL = 1e-9
 
@@ -68,9 +76,9 @@ class ModelValidationReport:
 class ConnectionModel:
     """An immutable kernel with its precomputed constants.
 
-    C is the radial integral of the truncated profile (analytic where the
-    kind allows it); C_error bounds the quadrature error plus any mass
-    beyond the cutoff.
+    C is the radial integral of the truncated profile, in closed form (the
+    Gaussian keeps its untruncated pi); C_error is the mass of the raw
+    profile beyond the cutoff, zero for the self-truncated kinds.
     """
 
     kind: str
@@ -91,6 +99,8 @@ class ConnectionModel:
         if self.kind == "gaussian":
             return np.exp(-np.square(x))
         if self.kind == "log_normal":
+            from scipy import special
+
             scale = 10.0 * self.eta / (math.sqrt(2.0) * self.sigma_db)
             with np.errstate(divide="ignore"):
                 z = scale * np.log10(x)
@@ -186,18 +196,19 @@ def log_normal(sigma_db: float, eta: float, cutoff_eps: float = TRUNCATION_EPS) 
         return 0.5 * math.erfc(scale * math.log10(x))
 
     cutoff = _bisect_cutoff(raw, cutoff_eps)
-    value, err = _quad_radial(raw, 0.0, cutoff)
-    tail, tail_err = _quad_radial(raw, cutoff, math.inf, strict=False)
-    model = ConnectionModel(
+    a = scale / math.log(10.0)
+    t = math.log(cutoff)
+    full = math.pi * math.exp(1.0 / (a * a))
+    C = 0.5 * (math.pi * cutoff * cutoff * math.erfc(a * t) + full * math.erfc(1.0 / a - a * t))
+    return ConnectionModel(
         kind="log_normal",
         cutoff=cutoff,
-        C=value,
-        C_error=err + tail + tail_err,
+        C=C,
+        C_error=full - C,
         cutoff_eps=cutoff_eps,
         sigma_db=float(sigma_db),
         eta=float(eta),
     )
-    return model
 
 
 def table_model(knots, cutoff_eps: float = TRUNCATION_EPS) -> ConnectionModel:
@@ -225,14 +236,12 @@ def table_model(knots, cutoff_eps: float = TRUNCATION_EPS) -> ConnectionModel:
 
     cutoff = _table_cutoff(radii, values, cutoff_eps)
     if math.isfinite(cutoff):
-        def raw(x: float) -> float:
-            return float(np.interp(x, radii, values))
-
-        C, C_error = _quad_radial(raw, 0.0, cutoff, points=radii)
+        x, alpha, beta = table_pieces(radii, values, cutoff)
+        C = 2.0 * math.pi * float(np.sum(alpha * np.diff(x**2) / 2.0
+                                         + beta * np.diff(x**3) / 3.0))
+        C_error = 0.0
     else:
-        # no radius reaches the epsilon: the clamped profile keeps a
-        # constant plateau forever, so probe the partial integrals
-        C, C_error = _diverging_radial_integral(radii, values)
+        C = C_error = math.inf
     return ConnectionModel(
         kind="table",
         cutoff=cutoff,
@@ -268,40 +277,25 @@ def load_table(path, cutoff_eps: float = TRUNCATION_EPS) -> ConnectionModel:
 # integral constant
 
 
-def integral_C(model: ConnectionModel, force_quadrature: bool = False) -> float:
-    """Radial integral int_0^inf 2 pi x g(x) dx of the truncated kernel.
-
-    Analytic for unit_disk and gaussian unless `force_quadrature` is set,
-    in which case the adaptive path is exercised (used by tests).
-    """
-    if not force_quadrature:
-        return model.C
-    if not math.isfinite(model.cutoff):
-        value, _ = _diverging_radial_integral(model.radii, model.values)
-        return value
-
-    def raw(x: float) -> float:
-        return float(model.g(x))
-
-    value, _ = _quad_radial(raw, 0.0, model.cutoff, points=model.radii or ())
-    return value
+def table_pieces(radii, values, cutoff: float):
+    """Breaks x_0 = 0 < ... < x_P = cutoff of a table kernel with a finite
+    cutoff, and the coefficients of g(u) = alpha_p + beta_p u on each
+    piece."""
+    x = np.array((0.0, *(k for k in radii if 0.0 < k < cutoff), cutoff))
+    gx = np.interp(x, radii, values)
+    beta = np.diff(gx) / np.diff(x)
+    return x, gx[:-1] - beta * x[:-1], beta
 
 
 def tail_integral(model: ConnectionModel) -> float:
     """Mass of the raw profile beyond the cutoff, int 2 pi x g_raw dx.
 
-    Zero for unit_disk and for tables (their truncation is definitional).
+    Zero for unit_disk and for tables (their truncation is definitional);
+    C_error for the analytic kinds.
     """
     if self_truncated(model):
         return 0.0
-    if model.kind == "gaussian":
-        return math.pi * math.exp(-model.cutoff * model.cutoff)
-    # log_normal
-    def raw(x: float) -> float:
-        return float(model.g_raw(x))
-
-    tail, _ = _quad_radial(raw, model.cutoff, math.inf, strict=False)
-    return tail
+    return model.C_error
 
 
 def self_truncated(model: ConnectionModel) -> bool:
@@ -415,51 +409,3 @@ def _table_cutoff(radii, values, eps: float) -> float:
         if v1 <= eps:
             return r0
     return math.inf
-
-
-def _quad_radial(raw, a: float, b: float, points=(), strict: bool = True
-                 ) -> tuple[float, float]:
-    """Adaptive quadrature of 2 pi x raw(x) over [a, b]; b may be inf.
-
-    Break points inside (a, b) split the range (finite b only).  With
-    `strict`, an error estimate above 1e-6 raises QuadratureError; the
-    tail mass and the divergence probe take the estimate as it comes.
-    """
-    def f(x: float) -> float:
-        return 2.0 * math.pi * x * raw(x)
-
-    pts = [p for p in points if a < p < b] or None
-    # QUADPACK wants strictly more subintervals than break points
-    limit = QUAD_LIMIT if pts is None else max(QUAD_LIMIT, 2 * len(pts) + 10)
-    value, err = integrate.quad(f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-12,
-                                limit=limit, points=pts)
-    if strict and err > 1e-6:
-        raise QuadratureError("radial integral did not converge", estimate=err)
-    return max(value, 0.0), err
-
-
-def _diverging_radial_integral(radii, values) -> tuple[float, float]:
-    """Partial integrals under doubling of the upper limit.
-
-    Divergence is declared once the partial integral moves by more than the
-    tolerance across three successive doublings; the profile is the table
-    interpolation with its clamp plateau.
-    """
-    def raw(x: float) -> float:
-        return float(np.interp(x, radii, values))
-
-    upper = max(1.0, 2.0 * radii[-1])
-    total, err = _quad_radial(raw, 0.0, upper, radii, strict=False)
-    violations = 0
-    for _ in range(64):
-        delta, derr = _quad_radial(raw, upper, 2.0 * upper, radii, strict=False)
-        upper *= 2.0
-        total += delta
-        err += derr
-        if delta > QUAD_ABS_TOL:
-            violations += 1
-            if violations >= 3:
-                return math.inf, math.inf
-        else:
-            return total, err
-    return math.inf, math.inf

@@ -6,13 +6,16 @@ r = sqrt((log rho + b) / (C rho)):
 
   expected isolated nodes, torus:
       rho * exp(-rho * int_A g(|x|_T / r) dx)
-      which reduces to rho * exp(-rho r^2 C_t) whenever the scaled support
-      r * cutoff fits half the period (C_t is the truncated radial mass).
+      which is rho * exp(-rho r^2 C_t) (C_t the truncated radial mass)
+      while the scaled support r * cutoff fits half the period.  Wider
+      supports raise ParameterError, the rule the sampler enforces on the
+      torus.
   expected isolated nodes, square:
       rho * int_A exp(-rho * I(y)) dy with I(y) the kernel mass visible
-      from y.  The domain splits exactly into an interior (constant
-      integrand), four edge strips (1-D profile), and four corners (2-D),
-      all computed in scaled coordinates.
+      from y.  While r * cutoff <= 1/2 the domain splits exactly into an
+      interior (constant integrand), four edge strips (1-D profile), and
+      four corners (2-D), all computed in scaled coordinates; wider
+      supports take one tensor rule over a quadrant of the cell.
   pair correlation of isolation at separation d:
       (1 - g(d/r)) * exp(rho * int g(|x|/r) g(|x - d|/r) dx).
   dependence bounds b1, b2 for the Poisson approximation of the torus
@@ -26,14 +29,15 @@ Limits as rho -> infinity, for reference against the finite-rho numbers:
 mean isolated -> exp(-b), P(no isolated) -> exp(-exp(-b)), mean degree
 -> log rho + b.
 
-Square means, cross masses and b2 use fixed-panel Gauss-Legendre rules on
-whole arrays, with panels broken at every kink the geometry and the kernel
-put into the integrand (each function below names its break points) and
-mapped by the smoothstep t -> 3t^2 - 2t^3, which keeps a square-root kink
-at a panel end smooth.  Each quantity is evaluated at orders n and 2n; the
-2n value is returned with |Q_2n - Q_n| as its error once that is within
-1e-9 of the value (1e-7 for b2; n = 8, 16, then 32), else QuadratureError
-is raised.  A table kernel is linear between knots, so the mass it shows
+Square means, cross masses and b2 use fixed-panel Gauss-Legendre rules
+(nodes from numpy's leggauss; nothing here is adaptive) on whole arrays,
+with panels broken at every kink the geometry and the kernel put into the
+integrand (each function below names its break points) and mapped by the
+smoothstep t -> 3t^2 - 2t^3, which keeps a square-root kink at a panel
+end smooth.  Each quantity is evaluated at orders n and 2n; the 2n value
+is returned with |Q_2n - Q_n| as its error once that is within 1e-9 of
+the value (1e-7 for b2; n = 8, 16, then 32), else QuadratureError is
+raised.  A table kernel is linear between knots, so the mass it shows
 inside clipping lines has a closed form: the square means of tables need
 no radial rule, and a corner node costs the same for any knot count.
 Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
@@ -47,11 +51,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import ParameterError, QuadratureError
 from .geometry import Metric
-from .models import ConnectionModel, connection_radius
+from .models import ConnectionModel, connection_radius, table_pieces
 
 # rule orders tried in turn, until one agrees with the next to _REL_TOL
 _ORDERS = (8, 16, 32, 64)
@@ -186,20 +189,12 @@ def _radial_mass(model: ConnectionModel) -> tuple[float, float]:
 @lru_cache(maxsize=4096)
 def _expected_isolated_torus(model: ConnectionModel, rho: float, b: float):
     r = connection_radius(model.C, rho, b)
-    if r * model.cutoff <= 0.5:
-        c_t, c_err = _radial_mass(model)
-        mass = rho * r * r * c_t
-        value = rho * math.exp(-mass)
-        return value, value * rho * r * r * c_err
-    # support wraps: integrate the folded kernel over the cell directly
-    def f(y: float, x: float) -> float:
-        return float(model.g(math.hypot(x, y) / r))
-
-    inner, ierr = integrate.dblquad(f, 0.0, 0.5, 0.0, 0.5,
-                                    epsabs=1e-9, epsrel=1e-8)
-    mass = 4.0 * inner
-    value = rho * math.exp(-rho * mass)
-    return value, value * rho * 4.0 * ierr
+    if r * model.cutoff > 0.5:
+        raise ParameterError("scaled support exceeds half the torus period")
+    c_t, c_err = _radial_mass(model)
+    mass = rho * r * r * c_t
+    value = rho * math.exp(-mass)
+    return value, value * rho * r * r * c_err
 
 
 @lru_cache(maxsize=1024)
@@ -236,16 +231,35 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
 
 
 def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: float):
-    """Fallback for supports wider than half the cell: integrate
-    exp(-rho * I(y)) over one quadrant with the general visibility angle."""
+    """Square mean for supports wider than half the cell: a tensor rule
+    over the quadrant [0, 1/2]^2 of exp(-rho r^2 I(y)), with I the mass
+    visible inside all four edges.  Both coordinates break where a
+    clipping distance crosses a kink k of g (0, the knots, the cutoff),
+    at 1/2 - r k and r k - 1/2; each row of x also breaks y where a corner
+    overlap sets in, at hypot(1/2 +- x, 1/2 +- y) = r k."""
+    k = r * np.array((0.0, *_kinks(model)))
+    base = np.unique(np.clip([0.0, 0.5, *(0.5 - k), *(k - 0.5)], 0.0, 0.5))
+    scale = rho * r * r
 
-    def f(y: float, x: float) -> float:
-        deltas = ((0.5 - x) / r, (0.5 + x) / r, (0.5 - y) / r, (0.5 + y) / r)
-        return math.exp(-rho * r * r * float(_visible_mass_general(model, deltas)))
+    def total(n: int) -> float:
+        x, wx = _panels(base, n)
+        out = 0.0
+        # y nodes per row, times a value per table piece at every node
+        step = max(1, _BLOCK // ((base.size + 2 * k.size) * n * k.size))
+        for lo in range(0, x.size, step):
+            xs = x[lo:lo + step, None]
+            side = np.hstack([0.5 - xs, 0.5 + xs])[..., None]
+            # the arc meets the top edge clip at y = 1/2 - s, the bottom at s - 1/2
+            arc = np.sqrt(np.maximum(k * k - side * side, 0.0)).reshape(xs.size, -1)
+            breaks = np.hstack([np.broadcast_to(base, (xs.size, base.size)), np.abs(0.5 - arc)])
+            y, wy = _panels(np.sort(np.minimum(breaks, 0.5), axis=1), n)
+            mass = _visible_mass_general(model, ((0.5 - xs) / r, (0.5 + xs) / r,
+                                                 (0.5 - y) / r, (0.5 + y) / r))
+            out += wx[lo:lo + step] @ np.sum(wy * np.exp(-scale * mass), axis=1)
+        return 4.0 * rho * out
 
-    quadrant, err = integrate.dblquad(f, 0.0, 0.5, 0.0, 0.5,
-                                      epsabs=1e-10, epsrel=1e-6)
-    return rho * 4.0 * quadrant, rho * 4.0 * err
+    value, err = _converged(total, "square-metric isolated mean")
+    return float(value), err
 
 
 def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
@@ -370,12 +384,8 @@ def _arc_overlap(model: ConnectionModel, zero, arcs1, delta1, arcs2, delta2):
 
 @lru_cache(maxsize=64)
 def _table_pieces(model: ConnectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breaks x_0 = 0 < ... < x_P = cutoff of a table kernel and the
-    coefficients of g(u) = alpha_p + beta_p u on each piece."""
-    x = np.array((0.0, *_kinks(model)))
-    gx = model.g(x)
-    beta = np.diff(gx) / np.diff(x)
-    return x, gx[:-1] - beta * x[:-1], beta
+    """`table_pieces` of a table kernel, cached per model."""
+    return table_pieces(model.radii, model.values, model.cutoff)
 
 
 def _arc_primitive(alpha, beta, v, delta):
@@ -451,7 +461,7 @@ def _radial_breaks(model: ConnectionModel) -> tuple[float, ...]:
 def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre on [0, 1] through the smoothstep, whose
     derivative vanishes at both ends: a square-root kink there turns smooth."""
-    x, w = special.roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * (x + 1.0)
     return t * t * (3.0 - 2.0 * t), 3.0 * w * t * (1.0 - t)
 
@@ -563,8 +573,6 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
     scale_log = _require_scale(rho, b)
     eps = params.epsilon
     r = connection_radius(model.C, rho, b)
-    if r * model.cutoff > 0.5:
-        raise ParameterError("scaled support exceeds half the torus period")
     e_tor, _ = _expected_isolated_torus(model, rho, b)
     r2 = scale_log / (model.C * rho)
     b1 = 4.0 * math.pi * e_tor * e_tor * r2 ** (1.0 - eps)

@@ -1,9 +1,11 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is deliberately dumb: pure-python double loops, plain
-Monte Carlo with numpy's own generator, factorial-based series. None of it
-imports sampler/theory internals beyond the public scalar primitives it is
-checking, so a bug in the fast paths cannot hide in its own oracle.
+Monte Carlo with numpy's own generator, factorial-based series, scipy's
+adaptive quadrature. None of it imports sampler/theory internals beyond
+the public scalar primitives it is checking, so a bug in the fast paths
+cannot hide in its own oracle; the one exception, `square_mean_dblquad`,
+says which part it checks.
 """
 
 from __future__ import annotations
@@ -84,27 +86,41 @@ def mc_disk_mass(model, r, n_samples, seed, chunk=10_000_000):
     return area * mean, area * math.sqrt(var / n_samples)
 
 
-def mc_folded_mass(model, r, n_samples, seed, chunk=10_000_000):
-    """MC of int_cell g(d_T(x, 0) / r) dx with the min-image fold written
-    out inline (independent of geometry.py).  For wide supports."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        x = rng.random(m) - 0.5
-        y = rng.random(m) - 0.5
-        # distance to the origin on the unit torus
-        x = x - np.round(x)
-        y = y - np.round(y)
-        vals = model.g(np.hypot(x, y) / r)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / n_samples
-    var = max(0.0, total_sq / n_samples - mean * mean)
-    return mean, math.sqrt(var / n_samples)
+def square_mean_dblquad(model, rho, r):
+    """Square-metric isolated-node mean by adaptive dblquad of
+    exp(-rho r^2 I(y)) over one quadrant, I the kernel mass visible inside
+    all four edges.  I comes from the program's `_visible_mass_general`
+    (checked on its own by `mc_visible_mass`), so this checks the 2-D
+    integration alone.  Returns (estimate, 4 rho x dblquad's error)."""
+    from scipy import integrate
+
+    from rcmsim.theory import _visible_mass_general
+
+    def f(y, x):
+        deltas = ((0.5 - x) / r, (0.5 + x) / r, (0.5 - y) / r, (0.5 + y) / r)
+        return math.exp(-rho * r * r * float(_visible_mass_general(model, deltas)))
+
+    quadrant, err = integrate.dblquad(f, 0.0, 0.5, 0.0, 0.5, epsabs=1e-10, epsrel=1e-6)
+    return rho * 4.0 * quadrant, rho * 4.0 * err
+
+
+def quad_radial_C(model):
+    """(C, error, tail, tail error): adaptive quad of 2 pi x g_raw(x) over
+    [0, cutoff], with the table knots as break points, and over
+    [cutoff, inf)."""
+    from scipy import integrate
+
+    def f(x):
+        return 2.0 * math.pi * x * float(model.g_raw(x))
+
+    pts = [p for p in (model.radii or ()) if 0.0 < p < model.cutoff] or None
+    # QUADPACK wants strictly more subintervals than break points
+    limit = 200 if pts is None else max(200, 2 * len(pts) + 10)
+    value, err = integrate.quad(f, 0.0, model.cutoff, epsabs=0.0, epsrel=1e-13,
+                                limit=limit, points=pts)
+    tail, tail_err = integrate.quad(f, model.cutoff, math.inf, epsabs=0.0,
+                                    epsrel=1e-10, limit=200)
+    return value, err, tail, tail_err
 
 
 def mc_visible_mass(model, deltas, n_samples, seed):

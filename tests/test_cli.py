@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,6 +259,12 @@ def test_write_outputs_csv_and_json(tmp_path):
     sdoc = json.loads((tmp_path / "runs" / "out_summary.json").read_text())
     assert len(sdoc) == len(summary.cells)
 
+    # the finite-density P(no isolated node) beside its limiting value
+    header, first = (tmp_path / "out_summary.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert float(row["theory_p_no_isolated"]) == math.exp(-float(row["theory_isolated"]))
+    assert sdoc[0]["theory_p_no_isolated"] == math.exp(-sdoc[0]["theory_isolated"])
+
 
 # --- subcommands and exit codes ---
 
@@ -378,6 +386,36 @@ def test_theory_subcommand_reports_bound_failure(tmp_path, capsys):
     assert doc["chen_stein_b1"] is None and doc["chen_stein_b2"] is None
     assert doc["quad_error_b2"] is None
     assert "chen_stein_error" in doc
+
+
+def test_theory_subcommand_reports_torus_failure(capsys):
+    # r * cutoff = 0.90: the torus refuses the support, the square does not
+    assert main(["theory", "--model", "gaussian", "--rho", "40",
+                 "--b", "0"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["expected_isolated_torus"] is None
+    assert doc["quad_error_torus"] is None and doc["boundary_excess"] is None
+    assert "half the torus period" in doc["torus_error"]
+    assert doc["expected_isolated_square"] > 0.0
+    assert 0.0 <= doc["quad_error_square"] <= 1e-9 * doc["expected_isolated_square"]
+
+
+def test_package_imports_no_adaptive_quadrature(tmp_path):
+    # in a fresh interpreter: pytest's own warning filter imports
+    # scipy.integrate into this one
+    script = """
+import sys
+import rcmsim
+assert not any(m in sys.modules for m in ("scipy.integrate", "scipy.special", "scipy.sparse"))
+rcmsim.log_normal(4.0, 3.0).g([0.5, 2.0])
+from rcmsim.cli import main
+assert main(["theory", "--model", "gaussian", "--rho", "2000", "--b", "0",
+             "--output", sys.argv[1]]) == 0
+assert "scipy.integrate" not in sys.modules
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "theory.json")],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_validate_model_subcommand(tmp_path, capsys):

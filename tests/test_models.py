@@ -8,9 +8,10 @@ import pytest
 
 from rcmsim.errors import ModelError, ParameterError
 from rcmsim.models import (TRUNCATION_EPS, connection_radius, eval_g, gaussian,
-                           integral_C, load_table, log_normal, table_model,
-                           tail_integral, unit_disk, validate_model)
-from oracles import mc_log_normal_C
+                           load_table, log_normal, table_model, tail_integral,
+                           unit_disk, validate_model)
+from oracles import mc_log_normal_C, quad_radial_C
+from test_theory import DENSE, TABLE3, TABLE5
 
 
 # --- construction and evaluation ---
@@ -38,10 +39,31 @@ def test_gaussian_basics():
     assert m.validation.ok
 
 
-def test_gaussian_forced_quadrature_matches_closed_form():
-    m = gaussian()
-    quad = integral_C(m, force_quadrature=True)
-    assert quad == pytest.approx(math.pi * (1.0 - TRUNCATION_EPS), rel=1e-9)
+@pytest.mark.parametrize("model", [
+    log_normal(4.0, 2.0), log_normal(4.0, 3.0), log_normal(8.0, 3.0),
+    log_normal(2.0, 6.0), log_normal(10.0, 2.0),
+    TABLE3, TABLE5, DENSE,
+    table_model([(0.5, 0.9), (1.0, 0.5), (2.0, 0.0)]),  # clamped below 0.5
+], ids=["log_normal-4-2", "log_normal-4-3", "log_normal-8-3", "log_normal-2-6",
+        "log_normal-10-2", "table3", "table5", "dense", "first-knot-0.5"])
+def test_closed_form_C_matches_adaptive_quadrature(model):
+    want, _, tail, tail_err = quad_radial_C(model)
+    assert abs(model.C - want) <= max(model.C_error, 1e-13 * model.C)
+    if model.kind == "log_normal":
+        # the tail is pi e^{1/a^2} - C, a difference of C-sized numbers
+        assert abs(tail_integral(model) - tail) <= 1e-13 * model.C + tail_err
+        assert model.C_error == tail_integral(model) > 0.0
+    else:
+        assert model.C_error == tail_integral(model) == 0.0
+
+
+def test_table_plateau_above_eps_diverges():
+    # no knot after the first drops to eps: the clamped plateau 0.2 runs
+    # forever, so the radial mass is infinite
+    m = table_model([(0.0, 1.0), (1.0, 0.5), (2.0, 0.2)])
+    assert math.isinf(m.cutoff)
+    assert math.isinf(m.C) and math.isinf(m.C_error)
+    assert not m.validation.integral_finite
 
 
 def test_log_normal_value_at_unity():

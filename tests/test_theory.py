@@ -24,8 +24,8 @@ from rcmsim.theory import (ChenSteinParams, DiscreteDistribution,
                            expected_isolated, pair_correlation_factor,
                            poisson_pmf, theory_report, tv_distance)
 from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
-                     mc_cross_mass, mc_disk_mass, mc_folded_mass,
-                     mc_lens_area, mc_visible_mass, poisson_pmf_factorial)
+                     mc_cross_mass, mc_disk_mass, mc_lens_area, mc_visible_mass,
+                     poisson_pmf_factorial, square_mean_dblquad)
 
 UD = unit_disk()
 GAUSS = gaussian()
@@ -189,7 +189,7 @@ def test_square_converges_at_low_density_with_cutoff_jump(model):
         assert err <= 1e-9 * value, rho
     if model is UD:
         r = connection_radius(UD.C, 20.0, 0.0)
-        direct, derr = theory._expected_isolated_square_direct(UD, 20.0, r)
+        direct, derr = square_mean_dblquad(UD, 20.0, r)
         assert expected_isolated(UD, 20.0, 0.0, Metric.SQUARE) == pytest.approx(
             direct, abs=derr)
 
@@ -211,8 +211,20 @@ def test_square_decomposition_matches_direct_quadrature():
     rho, b = 200.0, 0.0
     r = connection_radius(GAUSS.C, rho, b)
     split, _ = theory._expected_isolated_square(GAUSS, rho, b)
-    direct, derr = theory._expected_isolated_square_direct(GAUSS, rho, r)
+    direct, derr = square_mean_dblquad(GAUSS, rho, r)
     assert split == pytest.approx(direct, rel=1e-6)
+
+
+@pytest.mark.parametrize("model,rho,b", [(UD, 2.0, 1.0), (log_normal(4.0, 3.0), 40.0, 0.0),
+                                         (GAUSS, 40.0, 0.0)])
+def test_wide_support_square_matches_dblquad(model, rho, b):
+    # r * cutoff > 1/2: the fixed-panel tensor rule over the quadrant
+    r = connection_radius(model.C, rho, b)
+    assert r * model.cutoff > 0.5
+    value, err = expected_isolated(model, rho, b, Metric.SQUARE, return_error=True)
+    assert err <= 1e-9 * value
+    want, want_err = square_mean_dblquad(model, rho, r)
+    assert abs(value - want) <= want_err
 
 
 def test_square_quadrature_vs_simulation():
@@ -234,16 +246,12 @@ def test_square_quadrature_vs_simulation():
         assert abs(counts.mean() - want) < 5.0 * se, (model.kind, counts.mean(), want)
 
 
-def test_torus_folded_fallback_vs_mc():
-    # support wider than half the cell: the radial shortcut is invalid and
-    # the folded 2-D quadrature takes over
-    rho, b = 40.0, 0.0
-    r = connection_radius(GAUSS.C, rho, b)
+def test_torus_refuses_support_wider_than_half_the_period():
+    # the sampler refuses this regime on the torus, and so does the theory
+    r = connection_radius(GAUSS.C, 40.0, 0.0)
     assert r * GAUSS.cutoff > 0.5
-    e_q = expected_isolated(GAUSS, rho, b, Metric.TORUS)
-    mass_q = math.log(rho / e_q) / rho
-    mass_mc, se = mc_folded_mass(GAUSS, r, 20_000_000, seed=77)
-    assert abs(mass_q - mass_mc) < 4.0 * se
+    with pytest.raises(ParameterError):
+        expected_isolated(GAUSS, 40.0, 0.0, Metric.TORUS)
 
 
 def test_log_normal_torus_matches_limit_when_support_fits():
@@ -403,7 +411,7 @@ def test_dense_table_square_mean_and_chen_stein(monkeypatch):
 
 def test_theory_does_not_nest_adaptive_quad(monkeypatch):
     # square means and Chen-Stein terms come from the fixed-panel rules
-    # alone; scipy's adaptive quad may serve only the wide-support fallbacks
+    # alone
     import scipy.integrate
 
     def refuse(*args, **kwargs):
