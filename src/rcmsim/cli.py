@@ -40,7 +40,7 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -250,15 +250,20 @@ def parse_config(doc) -> CampaignConfig:
 
 
 def load_config(path) -> CampaignConfig:
+    return parse_config(_read_json(path, "config"))
+
+
+def _read_json(path, what: str):
+    """The parsed JSON document at `path`, which `what` names in errors:
+    _IoFailure when it cannot be read, ConfigError when it does not parse."""
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise _IoFailure(f"cannot read config {path}: {e}") from e
+        raise _IoFailure(f"cannot read {what} {path}: {e}") from e
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    return parse_config(doc)
+        raise ConfigError(f"{what} is not valid JSON: {e}") from e
 
 
 class _IoFailure(RuntimeError):
@@ -505,13 +510,10 @@ def write_outputs(config: CampaignConfig, summary: SweepSummary,
 
 
 def _cmd_simulate(args, force_coupled: bool = False) -> int:
-    config = load_config(args.config)
-    if force_coupled and config.metric != "coupled":
-        config = CampaignConfig(**{**_record_dict(config), "metric": "coupled"})
-    if args.output is not None:
-        config = CampaignConfig(**{**_record_dict(config), "output_path": args.output})
-    if args.format is not None:
-        config = CampaignConfig(**{**_record_dict(config), "format": args.format})
+    over = {"metric": "coupled" if force_coupled else None,
+            "output_path": args.output, "format": args.format}
+    config = replace(load_config(args.config),
+                     **{k: v for k, v in over.items() if v is not None})
     summary, rows, warnings = run_campaign(config, workers=args.workers)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -522,25 +524,17 @@ def _cmd_simulate(args, force_coupled: bool = False) -> int:
 
 
 def _model_from_arg(arg: str) -> ConnectionModel:
-    if arg == "unit_disk":
-        return unit_disk()
-    if arg == "gaussian":
-        return gaussian()
-    try:
-        text = Path(arg).read_text()
-    except OSError as e:
-        raise _IoFailure(f"cannot read model spec {arg}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"model spec is not valid JSON: {e}") from e
-    return build_model(doc)
+    if arg in ("unit_disk", "gaussian"):
+        return build_model({"kind": arg})
+    return build_model(_read_json(arg, "model spec"))
 
 
 def _cmd_theory(args) -> int:
     model = _model_from_arg(args.model)
     if not model.validation.ok:
         raise ModelError(f"model failed validation: {model.validation}")
+    # an epsilon outside (0, 1/2) is a config error before any quadrature
+    params = ChenSteinParams(epsilon=args.epsilon)
     e_sq, err_sq = expected_isolated(model, args.rho, args.b, Metric.SQUARE,
                                      return_error=True)
     limits = asymptotic_report(args.rho, args.b)
@@ -565,8 +559,7 @@ def _cmd_theory(args) -> int:
         doc["expected_isolated_torus"] = doc["quad_error_torus"] = doc["boundary_excess"] = None
         doc["torus_error"] = str(e)
     try:
-        b1, b2, err_b2 = chen_stein_terms(model, args.rho, args.b,
-                                          ChenSteinParams(epsilon=args.epsilon),
+        b1, b2, err_b2 = chen_stein_terms(model, args.rho, args.b, params,
                                           return_error=True)
         doc.update(chen_stein_b1=b1, chen_stein_b2=b2, quad_error_b2=err_b2)
     except RcmError as e:
@@ -584,14 +577,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_validate_model(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as e:
-        raise _IoFailure(f"cannot read config {args.config}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+    doc = _read_json(args.config, "config")
     spec = doc.get("model", doc) if isinstance(doc, dict) else doc
     model = build_model(spec)
     v = model.validation

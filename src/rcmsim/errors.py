@@ -27,7 +27,7 @@ class ModelError(RcmError, ValueError):
 
 
 class QuadratureError(RcmError, RuntimeError):
-    """Adaptive integration failed to reach the requested tolerance.
+    """A fixed-panel rule still missed its tolerance at the largest order.
 
     Carries the achieved error estimate so the caller can decide whether
     the value is still usable.

@@ -61,9 +61,9 @@ class SampleParams:
                 f"model failed validation: {self.model.validation}"
             )
         r = _models.connection_radius(self.model.C, self.rho, self.b)
-        if self.metric is Metric.TORUS and r > 0.5:
+        if self.metric is Metric.TORUS and r * self.model.cutoff > 0.5:
             raise ParameterError(
-                f"connection range {r:.4g} exceeds half the torus period"
+                f"r * cutoff = {r * self.model.cutoff:.4g} exceeds half the torus period"
             )
         object.__setattr__(self, "r", r)
 
@@ -135,10 +135,10 @@ def build_graph(params: SampleParams, points: np.ndarray,
     """Realize the connection graph on the given points.
 
     `exact` forces the 1x1 grid, so every pair is a candidate.  A finer
-    grid requires r * cutoff <= 1/2; on the square metric `exact=True`
-    lifts that restriction, on the torus larger ranges are rejected
-    outright.  Every grid produces the same edge set because each pair's
-    uniform depends only on (master_seed, trial_index, tag, i, j).
+    grid requires r * cutoff <= 1/2, which SampleParams enforces on the
+    torus; on the square metric `exact=True` lifts that restriction.
+    Every grid produces the same edge set because each pair's uniform
+    depends only on (master_seed, trial_index, tag, i, j).
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 2:
@@ -146,17 +146,11 @@ def build_graph(params: SampleParams, points: np.ndarray,
     if points.size and (points.min() < LO or points.max() >= -LO):
         raise ParameterError("points outside the unit cell")
     reach = params.r * params.model.cutoff
-    if reach > 0.5:
-        if params.metric is Metric.TORUS:
-            raise ParameterError(
-                f"r * cutoff = {reach:.4g} exceeds half the torus period; "
-                "reduce the range or use the square metric with exact=True"
-            )
-        if not exact:
-            raise ParameterError(
-                f"r * cutoff = {reach:.4g} too large for the bucket grid; "
-                "pass exact=True for the O(n^2) scan"
-            )
+    if reach > 0.5 and not exact:
+        raise ParameterError(
+            f"r * cutoff = {reach:.4g} too large for the bucket grid; "
+            "pass exact=True for the O(n^2) scan"
+        )
     key = streams.stream_key(params.master_seed, params.trial_index,
                              streams.TAG_EDGES)
     m = 1 if exact else _grid_side(reach, points.shape[0])

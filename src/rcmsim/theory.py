@@ -6,16 +6,19 @@ r = sqrt((log rho + b) / (C rho)):
 
   expected isolated nodes, torus:
       rho * exp(-rho * int_A g(|x|_T / r) dx)
-      which is rho * exp(-rho r^2 C_t) (C_t the truncated radial mass)
-      while the scaled support r * cutoff fits half the period.  Wider
-      supports raise ParameterError, the rule the sampler enforces on the
-      torus.
+      which is rho * exp(-rho r^2 C_t) (C_t the truncated radial mass, so
+      closed form with no error) while the scaled support r * cutoff fits
+      half the period.  Wider supports raise ParameterError, the rule the
+      sampler enforces on the torus.
   expected isolated nodes, square:
       rho * int_A exp(-rho * I(y)) dy with I(y) the kernel mass visible
       from y.  While r * cutoff <= 1/2 the domain splits exactly into an
       interior (constant integrand), four edge strips (1-D profile), and
       four corners (2-D), all computed in scaled coordinates; wider
-      supports take one tensor rule over a quadrant of the cell.
+      supports take one tensor rule over a quadrant of the cell.  Both
+      take I from one function, `_visible_mass`, for up to four clipping
+      lines: closed form for the unit disk and for tables, else a radial
+      rule at the order of the enclosing rule.
   pair correlation of isolation at separation d:
       (1 - g(d/r)) * exp(rho * int g(|x|/r) g(|x - d|/r) dx).
   dependence bounds b1, b2 for the Poisson approximation of the torus
@@ -37,9 +40,11 @@ smoothstep t -> 3t^2 - 2t^3, which keeps a square-root kink at a panel
 end smooth.  Each quantity is evaluated at orders n and 2n; the 2n value
 is returned with |Q_2n - Q_n| as its error once that is within 1e-9 of
 the value (1e-7 for b2; n = 8, 16, then 32), else QuadratureError is
-raised.  A table kernel is linear between knots, so the mass it shows
-inside clipping lines has a closed form: the square means of tables need
-no radial rule, and a corner node costs the same for any knot count.
+raised.  The visible mass converges with the rule around it, so no
+convergence loop nests inside another.  A table kernel is linear between
+knots, so the mass it shows inside clipping lines has a closed form: the
+square means of tables need no radial rule, and a corner node costs the
+same for any knot count.
 Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
 memory stays small.
 """
@@ -64,6 +69,9 @@ _REL_TOL = 1e-9
 _B2_REL_TOL = 1e-7
 # rows x nodes evaluated at once, which bounds the scratch memory
 _BLOCK = 1 << 15
+# adjacent pairs of the clipping lines (right, left, top, bottom), which
+# meet at the cell's corners
+_ADJACENT = ((0, 2), (2, 1), (1, 3), (3, 0))
 
 
 @dataclass(frozen=True)
@@ -176,14 +184,12 @@ def theory_report(model: ConnectionModel, rho: float, b: float,
     )
 
 
-@lru_cache(maxsize=256)
-def _radial_mass(model: ConnectionModel) -> tuple[float, float]:
-    """(C_t, error): radial mass of the truncated kernel."""
-    if model.kind == "unit_disk":
-        return math.pi, 0.0
+def _truncated_mass(model: ConnectionModel) -> float:
+    """C_t, the radial mass of the truncated kernel: the Gaussian's C is the
+    untruncated pi, every other kind's C is already the truncated mass."""
     if model.kind == "gaussian":
-        return math.pi - math.pi * math.exp(-model.cutoff**2), 0.0
-    return model.C, model.C_error
+        return model.C - model.C_error
+    return model.C
 
 
 @lru_cache(maxsize=4096)
@@ -191,10 +197,7 @@ def _expected_isolated_torus(model: ConnectionModel, rho: float, b: float):
     r = connection_radius(model.C, rho, b)
     if r * model.cutoff > 0.5:
         raise ParameterError("scaled support exceeds half the torus period")
-    c_t, c_err = _radial_mass(model)
-    mass = rho * r * r * c_t
-    value = rho * math.exp(-mass)
-    return value, value * rho * r * r * c_err
+    return rho * math.exp(-rho * r * r * _truncated_mass(model)), 0.0
 
 
 @lru_cache(maxsize=1024)
@@ -204,9 +207,8 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     reach = r * cutoff
     if reach > 0.5:
         return _expected_isolated_square_direct(model, rho, r)
-    c_t, c_err = _radial_mass(model)
     scale = rho * r * r
-    interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * c_t)
+    interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * _truncated_mass(model))
     # exp(-scale K) falls fastest next to the boundary: the panels of the
     # distance d to it halve toward it, down to the layer width 1 / scale
     halvings = np.arange(1, math.log2(cutoff * scale))
@@ -217,7 +219,7 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     # add at most 4 r^2 (b - a) cutoff exp(-scale K(a, inf) / 2).  Strips
     # below 1e-12 of the interior, a lower bound on the value, are left out
     # and their bound goes to the error
-    edge = _corner_mass(model, base[:-1], math.inf, _ORDERS[-1])
+    edge = _visible_mass(model, (base[:-1], math.inf, math.inf, math.inf), _ORDERS[-1])
     strip = 4.0 * r * r * np.diff(base) * cutoff * np.exp(-0.5 * scale * edge)
     skip = strip < 1e-3 * _REL_TOL * interior
 
@@ -227,7 +229,7 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
                       + 4.0 * r * r * q_corner)
 
     value, err = _converged(total, "square-metric isolated mean")
-    return float(value), err + rho * (strip[skip].sum() + interior * scale * c_err)
+    return float(value), err + rho * strip[skip].sum()
 
 
 def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: float):
@@ -253,8 +255,8 @@ def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: floa
             arc = np.sqrt(np.maximum(k * k - side * side, 0.0)).reshape(xs.size, -1)
             breaks = np.hstack([np.broadcast_to(base, (xs.size, base.size)), np.abs(0.5 - arc)])
             y, wy = _panels(np.sort(np.minimum(breaks, 0.5), axis=1), n)
-            mass = _visible_mass_general(model, ((0.5 - xs) / r, (0.5 + xs) / r,
-                                                 (0.5 - y) / r, (0.5 + y) / r))
+            mass = _visible_mass(model, ((0.5 - xs) / r, (0.5 + xs) / r,
+                                         (0.5 - y) / r, (0.5 + y) / r), n)
             out += wx[lo:lo + step] @ np.sum(wy * np.exp(-scale * mass), axis=1)
         return 4.0 * rho * out
 
@@ -270,7 +272,7 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     breaks `base` at rule order n; the corner takes only the panels of d1
     where `corner` is true."""
     d, w = _panels(base, n)
-    edge = _corner_mass(model, d, math.inf, n)
+    edge = _visible_mass(model, (d, math.inf, math.inf, math.inf), n)
     live = np.flatnonzero(np.repeat(corner, n))
     if model.kind == "table":
         # arc integrals on d once: a corner node then costs O(1), not O(knots)
@@ -282,7 +284,7 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
                     + _arc_overlap(model, zero, arcs[rows, None], d[rows, None], arcs, d))
     else:
         def corner_rows(rows):
-            return _corner_mass(model, d[rows, None], d, n)
+            return _visible_mass(model, (d[rows, None], math.inf, d, math.inf), n)
 
     # the corner overlap sets in on the arc hypot(d1, d2) = cutoff with a
     # (cutoff - h)^(3/2) kink weighted by g(cutoff): 1 for the unit disk,
@@ -297,48 +299,41 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     for lo in range(0, live.size, step):
         rows = live[lo:lo + step]
         kept = np.where(panel == crossed[rows, None], 0.0, w)
-        split = _corner_mass(model, d[rows, None], split_d[rows], n)
+        split = _visible_mass(model, (d[rows, None], math.inf, split_d[rows], math.inf), n)
         q_corner += w[rows] @ (np.sum(kept * np.exp(-scale * corner_rows(rows)), axis=1)
                                + np.sum(split_w[rows] * np.exp(-scale * split), axis=1))
     return w @ np.exp(-scale * edge), q_corner
 
 
-def _corner_mass(model: ConnectionModel, d1, d2, n: int):
-    """Kernel mass visible at scaled distances d1, d2 from two perpendicular
-    boundaries (d2 = inf: an edge strip) at rule order n; exact for the disk
-    and for tables."""
+def _visible_mass(model: ConnectionModel, deltas, n: int):
+    """Kernel mass visible inside up to four clipping half-planes at scaled
+    distances `deltas` (right, left, top, bottom; inf for no clip; arrays
+    that broadcast together): the full mass, less what lies beyond each
+    line, plus what lies beyond two adjacent lines, which both of them took
+    (triple overlaps cannot occur for a center inside the cell).  Closed
+    form for the unit disk and for tables, else the radial rule at order n."""
     if model.kind == "unit_disk":
-        return math.pi - _disk_cap(d1) - _disk_cap(d2) + _disk_corner(d1, d2)
-    if model.kind == "table":
-        return _visible_mass_table(model, (d1, math.inf, d2, math.inf))
-    return _visible_mass_rule(model, (d1, math.inf, d2, math.inf), n)
-
-
-def _visible_mass_general(model: ConnectionModel, deltas) -> np.ndarray:
-    """Kernel mass visible inside the clipping half-planes at `deltas` (see
-    `_visible_mass_rule`): exact for a table, else the first rule order
-    that agrees with the next."""
+        return (math.pi - sum(_disk_cap(x) for x in deltas)
+                + sum(_disk_corner(deltas[i], deltas[j]) for i, j in _ADJACENT))
     if model.kind == "table":
         return _visible_mass_table(model, deltas)
-    return _converged(lambda n: _visible_mass_rule(model, deltas, n), "visible mass")[0]
+    return _visible_mass_rule(model, deltas, n)
 
 
 def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
-    """int_0^cutoff u g(u) theta(u) du where theta(u) is the angular measure
-    of the circle of scaled radius u that stays inside the boundary: up to
-    four clipping half-planes at distances `deltas` (right, left, top,
-    bottom; arrays that broadcast together), adjacent overlaps corrected
-    (triple overlaps cannot occur for a center inside the cell).  Panels
-    break at each clipping distance, at the onset hypot(d_i, d_j) of each
-    adjacent overlap, at the kinks of g and at cutoff / 8, / 4, / 2, so that
-    no one panel spans the whole profile.
+    """`_visible_mass` as int_0^cutoff u g(u) theta(u) du, where theta(u) is
+    the angular measure of the circle of scaled radius u that stays inside
+    the clipping half-planes at `deltas`.  Panels break at each clipping
+    distance, at the onset hypot(d_i, d_j) of each adjacent overlap, at the
+    kinks of g and at cutoff / 8, / 4, / 2, so that no one panel spans the
+    whole profile.
     """
     cutoff = model.cutoff
     deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
     shape = np.broadcast_shapes(*(x.shape for x in deltas))
     # clips and overlaps that never reach into the support change nothing
     clips = [i for i in range(4) if np.any(deltas[i] < cutoff)]
-    overlaps = [(i, j) for i, j in ((0, 2), (2, 1), (1, 3), (3, 0))
+    overlaps = [(i, j) for i, j in _ADJACENT
                 if np.any(np.hypot(deltas[i], deltas[j]) < cutoff)]
     d = {i: np.broadcast_to(deltas[i], shape).ravel()[:, None] for i in clips}
     fixed = (0.0, *_radial_breaks(model))
@@ -361,13 +356,13 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
 
 
 def _visible_mass_table(model: ConnectionModel, deltas) -> np.ndarray:
-    """`_visible_mass_rule` in closed form for a table: the full mass, less
-    the arcs beyond each clipping line, plus each adjacent overlap."""
+    """`_visible_mass` of a table in closed form: the full mass, less the
+    arcs beyond each clipping line, plus each adjacent overlap."""
     deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
     zero = _arc_suffix(model, 0.0)
     arcs = [_arc_suffix(model, x) for x in deltas]
     out = 4.0 * zero[0] - 2.0 * sum(a[..., 0] for a in arcs)
-    for i, j in ((0, 2), (2, 1), (1, 3), (3, 0)):
+    for i, j in _ADJACENT:
         out = out + _arc_overlap(model, zero, arcs[i], deltas[i], arcs[j], deltas[j])
     return out
 
@@ -558,7 +553,6 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
     return out.reshape(s.shape)
 
 
-@lru_cache(maxsize=1024)
 def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
                      params: ChenSteinParams = ChenSteinParams(), *,
                      return_error: bool = False):
@@ -570,6 +564,15 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
     dependence disc of scaled radius 2 r^(-eps).  Both terms shrink as the
     density grows; their sum drives the total-variation bound.
     """
+    terms = _chen_stein(model, rho, b, params)
+    return terms if return_error else terms[:2]
+
+
+@lru_cache(maxsize=1024)
+def _chen_stein(model: ConnectionModel, rho: float, b: float,
+                params: ChenSteinParams) -> tuple[float, float, float]:
+    """(b1, b2, b2's quadrature error), one cache entry for both forms of
+    `chen_stein_terms`."""
     scale_log = _require_scale(rho, b)
     eps = params.epsilon
     r = connection_radius(model.C, rho, b)
@@ -583,7 +586,7 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
         raise ParameterError(
             "dependence disc exceeds half the torus period; increase rho or epsilon"
         )
-    c_t, _ = _radial_mass(model)
+    c_t = _truncated_mass(model)
     mass_scale = rho * r * r
     # 1 - g(s) breaks where g does.  The cross mass kinks where kink circles
     # about the two centers touch, at every sum and difference of two kinks
@@ -601,8 +604,7 @@ def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
                     * np.exp(-mass_scale * (2.0 * c_t - cross)))
 
     value, err = _converged(integral, "dependence integral", _B2_REL_TOL)
-    b2, b2_error = rho * rho * r * r * float(value), rho * rho * r * r * err
-    return (b1, b2, b2_error) if return_error else (b1, b2)
+    return b1, rho * rho * r * r * float(value), rho * rho * r * r * err
 
 
 def chen_stein_tv_bound(b1: float, b2: float, b3: float, lam: float) -> float:

@@ -89,16 +89,18 @@ def mc_disk_mass(model, r, n_samples, seed, chunk=10_000_000):
 def square_mean_dblquad(model, rho, r):
     """Square-metric isolated-node mean by adaptive dblquad of
     exp(-rho r^2 I(y)) over one quadrant, I the kernel mass visible inside
-    all four edges.  I comes from the program's `_visible_mass_general`
-    (checked on its own by `mc_visible_mass`), so this checks the 2-D
-    integration alone.  Returns (estimate, 4 rho x dblquad's error)."""
+    all four edges.  I comes from the program's `_visible_mass` at the
+    first order that agrees with the next (checked on its own by
+    `mc_visible_mass`), so this checks the 2-D integration alone.  Returns
+    (estimate, 4 rho x dblquad's error)."""
     from scipy import integrate
 
-    from rcmsim.theory import _visible_mass_general
+    from rcmsim.theory import _converged, _visible_mass
 
     def f(y, x):
         deltas = ((0.5 - x) / r, (0.5 + x) / r, (0.5 - y) / r, (0.5 + y) / r)
-        return math.exp(-rho * r * r * float(_visible_mass_general(model, deltas)))
+        mass, _ = _converged(lambda n: _visible_mass(model, deltas, n), "visible mass")
+        return math.exp(-rho * r * r * float(mass))
 
     quadrant, err = integrate.dblquad(f, 0.0, 0.5, 0.0, 0.5, epsabs=1e-10, epsrel=1e-6)
     return rho * 4.0 * quadrant, rho * 4.0 * err

@@ -204,7 +204,7 @@ def test_criterion_7_mean_degree(dense_torus):
 
 
 def test_criterion_8_dependence_terms():
-    chen_stein_terms.cache_clear()
+    theory._chen_stein.cache_clear()
     t0 = time.perf_counter()
     seq = [chen_stein_terms(UD, rho, 0.0, ChenSteinParams(epsilon=0.25))
            for rho in (1e3, 1e4, 1e5, 1e6)]

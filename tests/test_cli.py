@@ -163,6 +163,18 @@ def test_campaign_skips_impossible_cell(tmp_path):
     assert not summary.cells[1].skipped
 
 
+def test_campaign_runs_torus_cell_whose_support_fits(tmp_path):
+    # r = 0.95 exceeds half the period, but the support r * cutoff = 0.38
+    # does not: the torus holds the cell, and the theory gives its mean
+    cfg = parse_config(_doc(tmp_path, model={"kind": "table", "knots": [[0, 1], [0.4, 0]]},
+                            rho_list=[20.0], trials=3))
+    summary, rows, warnings = run_campaign(cfg)
+    cell = summary.cells[0]
+    assert not cell.skipped and len(rows) == 3
+    assert not any("skipped" in w for w in warnings)
+    assert cell.theory_isolated > 0.0
+
+
 def test_campaign_output_independent_of_workers(tmp_path):
     cfg = parse_config(_doc(tmp_path, rho_list=[80.0, 160.0], trials=12))
     texts = []
@@ -339,6 +351,18 @@ def test_exit_codes(tmp_path):
     io_bad.write_text(json.dumps(_doc(tmp_path, rho_list=[50.0], trials=1,
                                       output_path=str(blocker / "out.csv"))))
     assert main(["simulate", str(io_bad)]) == EXIT_IO
+
+    # theory: the same mapping for a model spec, and the campaign config's
+    # epsilon rule, checked before any quadrature
+    args = ["--rho", "2000", "--b", "0"]
+    assert main(["theory", "--model", missing, *args]) == EXIT_IO
+    assert main(["theory", "--model", str(broken), *args]) == EXIT_CONFIG
+    unknown_kind = tmp_path / "unknown_kind.json"
+    unknown_kind.write_text(json.dumps({"kind": "disk"}))
+    assert main(["theory", "--model", str(unknown_kind), *args]) == EXIT_CONFIG
+    for eps in ("0.7", "-1", "0.5"):
+        assert main(["theory", "--model", "unit_disk", *args,
+                     f"--epsilon={eps}"]) == EXIT_CONFIG
 
 
 def test_rcm_seed_changes_output_through_main(tmp_path, monkeypatch):

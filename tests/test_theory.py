@@ -59,6 +59,18 @@ def test_torus_error_estimate_is_returned():
     assert 0.0 <= err < 1e-9
 
 
+def test_truncated_tail_is_not_a_quadrature_error():
+    # a log-normal's C is already the truncated mass, so the tail beyond
+    # the cutoff (C_error, large at eps 1e-3) is no error of the closed
+    # torus form or of the square quadrature
+    ln = log_normal(4.0, 3.0, cutoff_eps=1e-3)
+    assert ln.C_error > 1e-3
+    value, err = expected_isolated(ln, 2000.0, 0.0, Metric.TORUS, return_error=True)
+    assert err == 0.0
+    value, err = expected_isolated(ln, 2000.0, 0.0, Metric.SQUARE, return_error=True)
+    assert err <= 1e-9 * value
+
+
 def test_square_error_estimate_is_relative_at_large_density():
     # the edge-strip and corner integrals are about 1e-53 at rho 1e100; an
     # absolute tolerance would stop quad at once with a meaningless estimate
@@ -145,11 +157,20 @@ def test_gaussian_torus_mass_vs_plain_mc():
     assert abs(mass_q - mass_mc) < 4.0 * se
 
 
+def _converged_rule(model, deltas):
+    """The radial rule alone, also for kernels with a closed form."""
+    mass, _ = theory._converged(lambda n: theory._visible_mass_rule(model, deltas, n),
+                                "rule")
+    return mass
+
+
 def test_visible_mass_generic_vs_mc():
     inf = math.inf
     cases = [
         (UD, (0.3, inf, 0.5, inf)),
         (UD, (0.15, inf, 0.2, inf)),  # adjacent clips overlap near u = 1
+        (UD, (0.3, 0.6, 0.5, inf)),  # opposite clips: support wider than the cell
+        (UD, (0.2, 0.35, 0.25, 0.4)),
         (GAUSS, (0.5, 4.0, 1.2, 3.0)),
         (GAUSS, (2.0, inf, inf, inf)),
         (log_normal(4.0, 3.0), (0.4, inf, 1.5, inf)),
@@ -160,7 +181,8 @@ def test_visible_mass_generic_vs_mc():
         (DENSE, (0.05, 1.3, 0.8, 2.4)),
     ]
     for i, (model, deltas) in enumerate(cases):
-        got = theory._visible_mass_general(model, deltas)
+        got, _ = theory._converged(lambda n: theory._visible_mass(model, deltas, n),
+                                   "visible mass")
         est, se = mc_visible_mass(model, deltas, 4_000_000, seed=100 + i)
         assert abs(got - est) < 5.0 * se, (deltas, got, est, se)
 
@@ -172,10 +194,8 @@ def test_table_visible_mass_closed_form_matches_rule(model):
     inf = math.inf
     for deltas in ((0.2, inf, inf, inf), (1.0, inf, 0.6, inf),
                    (0.45, 0.7, 0.3, 1.9), (0.0, inf, 0.0, inf)):
-        rule, _ = theory._converged(
-            lambda n: theory._visible_mass_rule(model, deltas, n), "rule")
-        assert theory._visible_mass_general(model, deltas) == pytest.approx(
-            rule, rel=1e-12, abs=1e-14), deltas
+        assert theory._visible_mass(model, deltas, 8) == pytest.approx(
+            _converged_rule(model, deltas), rel=1e-12, abs=1e-14), deltas
 
 
 @pytest.mark.parametrize("model", [UD, gaussian(cutoff_eps=0.1)])
@@ -195,13 +215,21 @@ def test_square_converges_at_low_density_with_cutoff_jump(model):
 
 
 def test_unit_disk_closed_forms_match_generic_path():
+    # caps and corner overlaps in closed form, for any clips, against the
+    # radial rule every other kernel takes
     inf = math.inf
-    for d in (0.05, 0.2, 0.6, 0.95):
-        gen = theory._visible_mass_general(UD, (d, inf, inf, inf))
-        assert gen == pytest.approx(theory._corner_mass(UD, d, inf, 32), rel=1e-9)
-    for d1, d2 in ((0.3, 0.5), (0.1, 0.15), (0.7, 0.7)):
-        gen = theory._visible_mass_general(UD, (d1, inf, d2, inf))
-        assert gen == pytest.approx(theory._corner_mass(UD, d1, d2, 32), rel=1e-8)
+    cases = [*((d, inf, inf, inf) for d in (0.05, 0.2, 0.6, 0.95)),
+             *((d1, inf, d2, inf) for d1, d2 in ((0.3, 0.5), (0.1, 0.15), (0.7, 0.7))),
+             (0.3, 0.6, 0.5, inf), (0.2, 0.35, 0.25, 0.4), (1.5, 0.0, inf, 0.0)]
+    for deltas in cases:
+        assert theory._visible_mass(UD, deltas, 8) == pytest.approx(
+            _converged_rule(UD, deltas), rel=1e-9), deltas
+    # arrays broadcast as in the square means' grids
+    d = np.array([0.1, 0.4, 0.9])
+    got = theory._visible_mass(UD, (d[:, None], 0.5, d, inf), 8)
+    assert got.shape == (3, 3)
+    assert got[1, 2] == pytest.approx(theory._visible_mass(UD, (0.4, 0.5, 0.9, inf), 8),
+                                      rel=1e-15)
 
 
 def test_square_decomposition_matches_direct_quadrature():
@@ -373,6 +401,23 @@ def test_gaussian_b2_error_covers_quad_oracle(rho):
     assert abs(b2 - gaussian_b2(GAUSS, rho, 0.0, 0.25)) <= err + 1e-12 * b2
 
 
+def test_chen_stein_forms_share_one_evaluation(monkeypatch):
+    # asking for b2's error after the plain terms evaluates nothing again
+    theory._chen_stein.cache_clear()
+    calls = []
+    rule = theory._cross_mass_rule
+    monkeypatch.setattr(theory, "_cross_mass_rule",
+                        lambda *args: calls.append(1) or rule(*args))
+    try:
+        b1, b2 = chen_stein_terms(TABLE3, 2000.0, 0.0)
+        assert calls
+        calls.clear()
+        assert chen_stein_terms(TABLE3, 2000.0, 0.0, return_error=True)[:2] == (b1, b2)
+        assert not calls
+    finally:
+        theory._chen_stein.cache_clear()
+
+
 def test_log_normal_chen_stein_converges():
     # g falls from 0.99 to 0.01 between radii 0.5 and 2 of a cutoff of
     # 8.7: the radial and separation panels need breaks inside the profile
@@ -383,7 +428,7 @@ def test_log_normal_chen_stein_converges():
 
 def test_chen_stein_five_knot_table_is_fast():
     # 163 s with seven leaked IntegrationWarnings under nested quad
-    chen_stein_terms.cache_clear()
+    theory._chen_stein.cache_clear()
     t0 = time.perf_counter()
     b1, b2 = chen_stein_terms(TABLE5, 2000.0, 0.0)
     assert time.perf_counter() - t0 < 5.0
@@ -419,22 +464,23 @@ def test_theory_does_not_nest_adaptive_quad(monkeypatch):
 
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
     theory._expected_isolated_square.cache_clear()
-    chen_stein_terms.cache_clear()
+    theory._chen_stein.cache_clear()
     try:
         for model in (GAUSS, TABLE3):
             assert expected_isolated(model, 2000.0, 0.0, Metric.SQUARE) > 0.0
             assert chen_stein_terms(model, 2000.0, 0.0)[1] > 0.0
     finally:
         theory._expected_isolated_square.cache_clear()
-        chen_stein_terms.cache_clear()
+        theory._chen_stein.cache_clear()
 
 
 def test_unconverged_rule_raises(monkeypatch):
     # orders too low for the tolerance: the rule fails loudly with its
     # achieved error estimate instead of returning a value
     monkeypatch.setattr(theory, "_ORDERS", (2, 4))
+    theory._expected_isolated_square.cache_clear()
     with pytest.raises(QuadratureError) as info:
-        theory._visible_mass_general(GAUSS, (0.5, math.inf, math.inf, math.inf))
+        expected_isolated(GAUSS, 40.0, 0.0, Metric.SQUARE)
     assert info.value.estimate > 0.0
 
 
