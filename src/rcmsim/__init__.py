@@ -21,11 +21,9 @@ from .sampler import (CoupledSample, NetworkSample, SampleParams, build_graph,
                       truncation_bias, write_edge_list)
 from .analysis import (TrialRecord, components, coupled_statistics,
                        isolated_count, trial_statistics)
-from .theory import (ChenSteinParams, DiscreteDistribution, TheoryReport,
-                     asymptotic_report, chen_stein_terms, chen_stein_tv_bound,
-                     empirical_distribution, expected_isolated,
-                     pair_correlation_factor, poisson_pmf, theory_report,
-                     tv_distance)
+from .theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
+                     chen_stein_tv_bound, expected_isolated,
+                     pair_correlation_factor, theory_report, tv_to_poisson)
 
 __version__ = "0.1.0"
 
@@ -34,7 +32,6 @@ __all__ = [
     "ConfigError",
     "ConnectionModel",
     "CoupledSample",
-    "DiscreteDistribution",
     "Metric",
     "ModelError",
     "ModelValidationReport",
@@ -46,7 +43,6 @@ __all__ = [
     "SampleParams",
     "TheoryReport",
     "TrialRecord",
-    "asymptotic_report",
     "build_graph",
     "chen_stein_terms",
     "chen_stein_tv_bound",
@@ -56,7 +52,6 @@ __all__ = [
     "coupled_statistics",
     "distance",
     "distance_arrays",
-    "empirical_distribution",
     "eval_g",
     "expected_isolated",
     "gaussian",
@@ -64,14 +59,13 @@ __all__ = [
     "load_table",
     "log_normal",
     "pair_correlation_factor",
-    "poisson_pmf",
     "sample_points",
     "table_model",
     "theory_report",
     "thin_edges",
     "trial_statistics",
     "truncation_bias",
-    "tv_distance",
+    "tv_to_poisson",
     "unit_disk",
     "validate_model",
     "write_edge_list",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,23 +76,8 @@ def trial_statistics(sample: NetworkSample) -> TrialRecord:
 def coupled_statistics(coupled: CoupledSample) -> TrialRecord:
     """Record for a coupled trial: square-graph stats plus the isolation
     split across the two metrics."""
-    square = coupled.square_sample()
-    torus = coupled.torus_sample()
-    base = trial_statistics(square)
-    iso_t = isolated_count(torus)
-    iso_s = base.isolated
-    return TrialRecord(
-        rho=base.rho,
-        b=base.b,
-        metric="coupled",
-        trial=base.trial,
-        n_points=base.n_points,
-        n_edges=base.n_edges,
-        isolated=iso_s,
-        n_components=base.n_components,
-        connected=base.connected,
-        mean_degree=base.mean_degree,
-        isolated_torus=iso_t,
-        isolated_square=iso_s,
-        isolated_boundary=iso_s - iso_t,
-    )
+    base = trial_statistics(coupled.square_sample())
+    iso_t = isolated_count(coupled.torus_sample())
+    return replace(base, metric="coupled", isolated_torus=iso_t,
+                   isolated_square=base.isolated,
+                   isolated_boundary=base.isolated - iso_t)

@@ -52,9 +52,8 @@ from .models import (ConnectionModel, gaussian, load_table, log_normal,
                      table_model, unit_disk)
 from .sampler import (SampleParams, build_graph, couple_torus_to_square,
                       sample_points, truncation_bias)
-from .theory import (ChenSteinParams, asymptotic_report, chen_stein_terms,
-                     empirical_distribution, expected_isolated, poisson_pmf,
-                     theory_report, tv_distance)
+from .theory import (ChenSteinParams, chen_stein_terms, theory_report,
+                     tv_to_poisson)
 
 SEED_ENV = "RCM_SEED"
 SKIP_REASON = "log rho + b <= 0"
@@ -314,17 +313,23 @@ def run_campaign(config: CampaignConfig, workers: int = 1
     warnings: list[str] = []
     skipped: dict[int, str] = {}
     tasks = []
+    metric = Metric.TORUS if config.metric == "coupled" else Metric(config.metric)
     for idx, (rho, b) in enumerate(cells):
         try:
-            metric = Metric.TORUS if config.metric == "coupled" else Metric(config.metric)
+            # SampleParams refuses a wide support on the torus; this test, on
+            # every metric, keeps the campaign to cells whose support fits
             probe = SampleParams(rho, b, config.model, metric, config.master_seed, 0)
-            build_graph(probe, np.empty((0, 2)))
+            reach = probe.r * config.model.cutoff
+            reason = None if reach <= 0.5 else (
+                f"r * cutoff = {reach:.4g} exceeds 1/2, which a campaign cannot run; "
+                "`rcmsim theory` still gives the square mean")
         except ParameterError as e:
             reason = SKIP_REASON if math.log(rho) + b <= 0 else str(e)
+        if reason is None:
+            tasks.extend((idx, rho, b, t) for t in range(config.trials))
+        else:
             skipped[idx] = reason
             warnings.append(f"cell rho={rho:g} b={b:g} skipped: {reason}")
-            continue
-        tasks.extend((idx, rho, b, t) for t in range(config.trials))
 
     init_args = (config.model, config.metric, config.master_seed)
     if workers == 1 or not tasks:
@@ -381,10 +386,7 @@ def _summarize_cell(config: CampaignConfig, rho: float, b: float,
     tv = report = b1 = b2 = None
     try:
         report = theory_report(config.model, rho, b, theory_metric)
-        lam = report.expected_isolated
-        k_max = max(max(iso), 10)
-        tv = tv_distance(empirical_distribution(iso, k_max),
-                         poisson_pmf(lam, k_max))
+        tv = tv_to_poisson(iso, report.expected_isolated)
     except RcmError as e:
         warnings.append(f"cell rho={rho:g} b={b:g}: theory unavailable: {e}")
     try:
@@ -535,29 +537,18 @@ def _cmd_theory(args) -> int:
         raise ModelError(f"model failed validation: {model.validation}")
     # an epsilon outside (0, 1/2) is a config error before any quadrature
     params = ChenSteinParams(epsilon=args.epsilon)
-    e_sq, err_sq = expected_isolated(model, args.rho, args.b, Metric.SQUARE,
-                                     return_error=True)
-    limits = asymptotic_report(args.rho, args.b)
+    report = _record_dict(theory_report(model, args.rho, args.b, Metric.SQUARE))
+    del report["expected_isolated"]  # the square mean, under its own key
+    if report["torus_error"] is None:
+        del report["torus_error"]
     doc = {
         "model": model.kind,
         "rho": args.rho,
         "b": args.b,
         "epsilon": args.epsilon,
-        "expected_isolated_square": e_sq,
-        "quad_error_square": err_sq,
-        "asymptotic_mean": limits.asymptotic_mean,
-        "prob_no_isolated": limits.prob_no_isolated,
-        "mean_degree": limits.mean_degree,
+        **report,
         "truncation_bias": truncation_bias(model, args.rho, args.b),
     }
-    try:
-        e_tor, err_tor = expected_isolated(model, args.rho, args.b, Metric.TORUS,
-                                           return_error=True)
-        doc.update(expected_isolated_torus=e_tor, quad_error_torus=err_tor,
-                   boundary_excess=max(0.0, e_sq - e_tor))
-    except ParameterError as e:
-        doc["expected_isolated_torus"] = doc["quad_error_torus"] = doc["boundary_excess"] = None
-        doc["torus_error"] = str(e)
     try:
         b1, b2, err_b2 = chen_stein_terms(model, args.rho, args.b, params,
                                           return_error=True)

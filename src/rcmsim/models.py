@@ -287,21 +287,6 @@ def table_pieces(radii, values, cutoff: float):
     return x, gx[:-1] - beta * x[:-1], beta
 
 
-def tail_integral(model: ConnectionModel) -> float:
-    """Mass of the raw profile beyond the cutoff, int 2 pi x g_raw dx.
-
-    Zero for unit_disk and for tables (their truncation is definitional);
-    C_error for the analytic kinds.
-    """
-    if self_truncated(model):
-        return 0.0
-    return model.C_error
-
-
-def self_truncated(model: ConnectionModel) -> bool:
-    return model.kind in ("unit_disk", "table")
-
-
 # ---------------------------------------------------------------------------
 # validation
 

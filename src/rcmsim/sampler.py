@@ -134,26 +134,19 @@ def build_graph(params: SampleParams, points: np.ndarray,
                 exact: bool = False) -> NetworkSample:
     """Realize the connection graph on the given points.
 
-    `exact` forces the 1x1 grid, so every pair is a candidate.  A finer
-    grid requires r * cutoff <= 1/2, which SampleParams enforces on the
-    torus; on the square metric `exact=True` lifts that restriction.
-    Every grid produces the same edge set because each pair's uniform
-    depends only on (master_seed, trial_index, tag, i, j).
+    `exact` forces the 1x1 grid, so every pair is a candidate; a support
+    r * cutoff above 1/3 gets that grid anyway.  Every grid produces the
+    same edge set because each pair's uniform depends only on
+    (master_seed, trial_index, tag, i, j).
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 2:
         raise ParameterError(f"points must have shape (n, 2), got {points.shape}")
     if points.size and (points.min() < LO or points.max() >= -LO):
         raise ParameterError("points outside the unit cell")
-    reach = params.r * params.model.cutoff
-    if reach > 0.5 and not exact:
-        raise ParameterError(
-            f"r * cutoff = {reach:.4g} too large for the bucket grid; "
-            "pass exact=True for the O(n^2) scan"
-        )
     key = streams.stream_key(params.master_seed, params.trial_index,
                              streams.TAG_EDGES)
-    m = 1 if exact else _grid_side(reach, points.shape[0])
+    m = 1 if exact else _grid_side(params.r * params.model.cutoff, points.shape[0])
     return NetworkSample(params, points, _grid_edges(params, points, key, m))
 
 
@@ -203,11 +196,12 @@ def couple_torus_to_square(params: SampleParams) -> CoupledSample:
 def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> float:
     """Expected number of edges per trial lost to the kernel cutoff.
 
-    (rho^2 r^2 / 2) * int_cutoff^inf 2 pi x g_raw(x) dx; zero for kernels
-    whose truncation is definitional (unit disk, tables).
+    (rho^2 r^2 / 2) * C_error, where C_error = int_cutoff^inf 2 pi x
+    g_raw(x) dx; zero for kernels whose truncation is definitional (unit
+    disk, tables).
     """
     r = _models.connection_radius(model.C, rho, b)
-    return 0.5 * rho * rho * r * r * _models.tail_integral(model)
+    return 0.5 * rho * rho * r * r * model.C_error
 
 
 def write_edge_list(sample: NetworkSample, fileobj) -> None:

@@ -38,13 +38,13 @@ with panels broken at every kink the geometry and the kernel put into the
 integrand (each function below names its break points) and mapped by the
 smoothstep t -> 3t^2 - 2t^3, which keeps a square-root kink at a panel
 end smooth.  Each quantity is evaluated at orders n and 2n; the 2n value
-is returned with |Q_2n - Q_n| as its error once that is within 1e-9 of
-the value (1e-7 for b2; n = 8, 16, then 32), else QuadratureError is
-raised.  The visible mass converges with the rule around it, so no
-convergence loop nests inside another.  A table kernel is linear between
-knots, so the mass it shows inside clipping lines has a closed form: the
-square means of tables need no radial rule, and a corner node costs the
-same for any knot count.
+is returned with |Q_2n - Q_n|, floored at 128 eps |Q_2n|, as its error
+once that difference is within 1e-9 of the value (1e-7 for b2; n = 8, 16,
+then 32), else QuadratureError is raised.  The visible mass converges
+with the rule around it, so no convergence loop nests inside another.  A
+table kernel is linear between knots, so the mass it shows inside
+clipping lines has a closed form: the square means of tables need no
+radial rule, and a corner node costs the same for any knot count.
 Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
 memory stays small.
 """
@@ -67,6 +67,12 @@ _REL_TOL = 1e-9
 # b2 only enters an upper bound: 1e-7 is ample, while 1e-9 would need a
 # separation break at every sum of two table knots, O(knots^2) panels
 _B2_REL_TOL = 1e-7
+# roundoff floor on a reported error, relative to the value: computing the
+# Legendre nodes another way (scipy's roots_legendre for numpy's leggauss,
+# weights up to 4e-15 apart) moved the square means and b2 of five kernels
+# at rho 400 to 1e4 by up to 62 eps |Q|, where |Q_2n - Q_n| read as low as
+# 4 eps |Q|; the floor is twice the largest move
+_ERR_FLOOR = 128 * np.finfo(np.float64).eps
 # rows x nodes evaluated at once, which bounds the scratch memory
 _BLOCK = 1 << 15
 # adjacent pairs of the clipping lines (right, left, top, bottom), which
@@ -76,22 +82,33 @@ _ADJACENT = ((0, 2), (2, 1), (1, 3), (3, 0))
 
 @dataclass(frozen=True)
 class TheoryReport:
-    """Finite-density predictions next to their large-density limits."""
+    """One cell's theory: the isolated-node means of both metrics with their
+    quadrature errors, next to the large-density limits.  expected_isolated
+    is the mean of the report's metric.  The torus fields are None, with
+    the reason in torus_error, when the scaled support r * cutoff exceeds
+    half the torus period."""
 
     expected_isolated: float
+    expected_isolated_square: float
+    quad_error_square: float
+    expected_isolated_torus: float | None
+    quad_error_torus: float | None
+    boundary_excess: float | None
+    torus_error: str | None
     asymptotic_mean: float
     prob_no_isolated: float
     mean_degree: float
-    boundary_excess: float
 
     def __post_init__(self):
-        for name in ("expected_isolated", "asymptotic_mean", "prob_no_isolated",
-                     "mean_degree", "boundary_excess"):
+        for name in ("expected_isolated", "expected_isolated_square", "quad_error_square",
+                     "expected_isolated_torus", "quad_error_torus", "boundary_excess",
+                     "asymptotic_mean", "prob_no_isolated", "mean_degree"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
+            if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {v}")
-        if not (0.0 < self.prob_no_isolated < 1.0):
-            raise ParameterError("prob_no_isolated must lie in (0, 1)")
+        # exp(-exp(-b)) rounds to exactly 0 or 1 at large |b|
+        if self.prob_no_isolated > 1.0:
+            raise ParameterError("prob_no_isolated must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -105,27 +122,6 @@ class ChenSteinParams:
             raise ParameterError(
                 f"epsilon must lie in (0, 1/2), got {self.epsilon}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
-    """Probabilities over k = 0, 1, ... plus the mass beyond the table."""
-
-    pmf: np.ndarray
-    tail_mass: float
-
-    def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=np.float64)
-        if pmf.ndim != 1 or pmf.size == 0:
-            raise ParameterError("pmf must be a nonempty 1-D array")
-        if np.any(pmf < 0.0) or self.tail_mass < -0.0:
-            raise ParameterError("probabilities must be >= 0")
-        total = float(pmf.sum()) + self.tail_mass
-        if abs(total - 1.0) > 1e-9:
-            raise ParameterError(f"pmf + tail must sum to 1, got {total}")
-        pmf = pmf.copy()
-        pmf.setflags(write=False)
-        object.__setattr__(self, "pmf", pmf)
 
 
 def _require_scale(rho: float, b: float) -> float:
@@ -156,31 +152,29 @@ def expected_isolated(model: ConnectionModel, rho: float, b: float,
     return value
 
 
-def asymptotic_report(rho: float, b: float) -> TheoryReport:
-    """Large-density limits only; boundary excess vanishes in the limit."""
-    _require_scale(rho, b)
+def theory_report(model: ConnectionModel, rho: float, b: float,
+                  metric: Metric = Metric.TORUS) -> TheoryReport:
+    """Both metrics' means, their boundary excess and the limits for one
+    cell; a torus report raises where the torus cannot hold the support."""
+    e_tor = err_tor = excess = torus_error = None
+    try:
+        e_tor, err_tor = expected_isolated(model, rho, b, Metric.TORUS, return_error=True)
+    except ParameterError as e:
+        if metric is Metric.TORUS:
+            raise
+        torus_error = str(e)
+    e_sq, err_sq = expected_isolated(model, rho, b, Metric.SQUARE, return_error=True)
+    if e_tor is not None:
+        excess = max(0.0, e_sq - e_tor)
     mean = math.exp(-b)
     return TheoryReport(
-        expected_isolated=mean,
+        expected_isolated=e_tor if metric is Metric.TORUS else e_sq,
+        expected_isolated_square=e_sq, quad_error_square=err_sq,
+        expected_isolated_torus=e_tor, quad_error_torus=err_tor,
+        boundary_excess=excess, torus_error=torus_error,
         asymptotic_mean=mean,
         prob_no_isolated=math.exp(-mean),
         mean_degree=math.log(rho) + b,
-        boundary_excess=0.0,
-    )
-
-
-def theory_report(model: ConnectionModel, rho: float, b: float,
-                  metric: Metric = Metric.TORUS) -> TheoryReport:
-    """Finite-density report; expected_isolated follows the given metric."""
-    e_tor = expected_isolated(model, rho, b, Metric.TORUS)
-    e_sq = expected_isolated(model, rho, b, Metric.SQUARE)
-    chosen = e_tor if metric is Metric.TORUS else e_sq
-    return TheoryReport(
-        expected_isolated=chosen,
-        asymptotic_mean=math.exp(-b),
-        prob_no_isolated=math.exp(-math.exp(-b)),
-        mean_degree=math.log(rho) + b,
-        boundary_excess=max(0.0, e_sq - e_tor),
     )
 
 
@@ -473,15 +467,17 @@ def _panels(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _converged(rule, what: str, rel_tol: float = _REL_TOL):
-    """(rule(2n), |rule(2n) - rule(n)|) for the first n in _ORDERS whose
-    difference is within rel_tol of the value; QuadratureError once the
-    largest order still misses it."""
+    """(rule(2n), error) for the first n in _ORDERS whose |rule(2n) -
+    rule(n)| is within rel_tol of the value, the error being that
+    difference or the roundoff floor _ERR_FLOOR |rule(2n)|, whichever is
+    larger; QuadratureError once the largest order still misses it."""
     coarse = rule(_ORDERS[0])
     for n in _ORDERS[1:]:
         fine = rule(n)
         err = float(np.max(np.abs(fine - coarse), initial=0.0))
-        if err <= rel_tol * float(np.max(np.abs(fine), initial=0.0)):
-            return fine, err
+        scale = float(np.max(np.abs(fine), initial=0.0))
+        if err <= rel_tol * scale:
+            return fine, max(err, _ERR_FLOOR * scale)
         coarse = fine
     raise QuadratureError(f"{what} did not converge at order {n}", estimate=err)
 
@@ -622,50 +618,21 @@ def chen_stein_tv_bound(b1: float, b2: float, b3: float, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# discrete distributions
+# Poisson approximation, observed
 
 
-def poisson_pmf(lam: float, k_max: int) -> DiscreteDistribution:
-    """Poisson(lam) over k = 0..k_max with the remainder as tail mass.
-
-    Stable multiplicative recurrence p_k = p_{k-1} * lam / k.
-    """
+def tv_to_poisson(counts, lam: float) -> float:
+    """Total variation between the empirical law of the nonnegative integer
+    `counts` and Poisson(lam), over k = 0..max(max count, 10) plus the
+    Poisson mass beyond that table.  The Poisson table comes from the
+    stable recurrence p_k = p_{k-1} lam / k."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0 or np.any(counts < 0):
+        raise ParameterError("counts must be a nonempty array of integers >= 0")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ParameterError(f"lambda must be >= 0, got {lam}")
-    if k_max < 0:
-        raise ParameterError(f"k_max must be >= 0, got {k_max}")
-    pmf = np.zeros(k_max + 1, dtype=np.float64)
-    p = math.exp(-lam)
-    pmf[0] = p
-    for k in range(1, k_max + 1):
-        p *= lam / k
-        pmf[k] = p
+    k_max = max(int(counts.max()), 10)
+    observed = np.bincount(counts, minlength=k_max + 1) / counts.size
+    pmf = np.cumprod([math.exp(-lam), *(lam / k for k in range(1, k_max + 1))])
     tail = max(0.0, 1.0 - float(pmf.sum()))
-    return DiscreteDistribution(pmf=pmf, tail_mass=tail)
-
-
-def empirical_distribution(counts, k_max: int | None = None) -> DiscreteDistribution:
-    """Histogram of observed nonnegative integers as a distribution."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0:
-        raise ParameterError("need at least one observation")
-    if np.any(counts < 0):
-        raise ParameterError("counts must be >= 0")
-    hi = int(counts.max())
-    if k_max is None:
-        k_max = hi
-    pmf = np.bincount(np.minimum(counts, k_max + 1),
-                      minlength=k_max + 2).astype(np.float64)
-    pmf /= counts.size
-    return DiscreteDistribution(pmf=pmf[: k_max + 1], tail_mass=float(pmf[k_max + 1]))
-
-
-def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Total variation with tables zero-padded to a common length and the
-    two tail masses compared against each other."""
-    n = max(p.pmf.size, q.pmf.size)
-    pp = np.zeros(n)
-    qq = np.zeros(n)
-    pp[: p.pmf.size] = p.pmf
-    qq[: q.pmf.size] = q.pmf
-    return 0.5 * float(np.abs(pp - qq).sum()) + 0.5 * abs(p.tail_mass - q.tail_mass)
+    return 0.5 * float(np.abs(observed - pmf).sum()) + 0.5 * tail

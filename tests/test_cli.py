@@ -163,6 +163,49 @@ def test_campaign_skips_impossible_cell(tmp_path):
     assert not summary.cells[1].skipped
 
 
+def test_campaign_skips_square_cell_wider_than_half(tmp_path):
+    # r * cutoff = 0.52: the campaign skips the cell on every metric and
+    # points to the subcommand that still gives its square mean
+    cfg = parse_config(_doc(tmp_path, metric="square", rho_list=[2.0, 120.0],
+                            b_list=[1.0], trials=3))
+    summary, rows, warnings = run_campaign(cfg)
+    assert len(rows) == 3
+    skipped = summary.cells[0]
+    assert skipped.skipped and skipped.reason == (
+        "r * cutoff = 0.5191 exceeds 1/2, which a campaign cannot run; "
+        "`rcmsim theory` still gives the square mean")
+    assert warnings == [f"cell rho=2 b=1 skipped: {skipped.reason}"]
+
+
+def test_campaign_cell_at_large_offset_keeps_its_theory(tmp_path):
+    # exp(-exp(-40)) rounds to 1, a valid limit: the cell keeps every
+    # theory column
+    cfg = parse_config(_doc(tmp_path, rho_list=[2000.0], b_list=[0.0, 40.0], trials=2))
+    summary, _, warnings = run_campaign(cfg)
+    assert not warnings
+    cell = summary.cells[1]
+    assert cell.theory_prob_no_isolated == 1.0
+    assert cell.theory_isolated == pytest.approx(math.exp(-40.0), rel=1e-9)
+    assert cell.theory_boundary_excess > 0.0 and cell.tv_to_poisson is not None
+    assert cell.chen_stein_b1 > 0.0 and cell.chen_stein_b2 > 0.0
+
+
+@pytest.mark.parametrize("model", ["unit_disk", "gaussian"])
+def test_summary_and_theory_document_agree(tmp_path, capsys, model):
+    # both print one record: the same floats, not merely close ones
+    assert main(["theory", "--model", model, "--rho", "2000", "--b", "0.5"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    for metric, mean in (("torus", "expected_isolated_torus"),
+                         ("square", "expected_isolated_square")):
+        cfg = parse_config(_doc(tmp_path, model={"kind": model}, metric=metric,
+                                rho_list=[2000.0], b_list=[0.5], trials=1))
+        cell = run_campaign(cfg)[0].cells[0]
+        assert cell.theory_isolated == doc[mean]
+        assert cell.theory_boundary_excess == doc["boundary_excess"]
+        assert cell.chen_stein_b1 == doc["chen_stein_b1"]
+        assert cell.chen_stein_b2 == doc["chen_stein_b2"]
+
+
 def test_campaign_runs_torus_cell_whose_support_fits(tmp_path):
     # r = 0.95 exceeds half the period, but the support r * cutoff = 0.38
     # does not: the torus holds the cell, and the theory gives its mean
@@ -400,6 +443,17 @@ def test_theory_subcommand(tmp_path, capsys):
     # infeasible scale is a config-style error
     assert main(["theory", "--model", "unit_disk", "--rho", "1",
                  "--b", "0"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("rho, b", [("2000", "40"), ("1e30", "-40")])
+def test_theory_subcommand_at_extreme_offsets(capsys, rho, b):
+    # P(no isolated) -> exp(-exp(-b)) rounds to exactly 1 or 0
+    assert main(["theory", "--model", "unit_disk", "--rho", rho, "--b", b]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["prob_no_isolated"] == (1.0 if float(b) > 0.0 else 0.0)
+    for key in ("expected_isolated_square", "expected_isolated_torus",
+                "boundary_excess", "chen_stein_b1", "chen_stein_b2"):
+        assert math.isfinite(doc[key]) and doc[key] > 0.0
 
 
 def test_theory_subcommand_reports_bound_failure(tmp_path, capsys):

@@ -12,8 +12,8 @@ values that may move within their error estimates, and computing them for
 the Gaussian and table kernels would dominate the run time, so the summary
 step is replaced by a stub.  The cells reach every enumeration regime: a
 trial with a single point (rho 2), a grid with fewer than three cells per
-side (the Gaussian at rho 400), cells skipped because the support is too
-wide for the grid (rho 2 and 40) and grids of up to 26 cells per side.
+side (the Gaussian at rho 400), cells skipped because the support r *
+cutoff exceeds 1/2 (rho 2 and 40) and grids of up to 26 cells per side.
 """
 
 import hashlib

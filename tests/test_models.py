@@ -8,8 +8,9 @@ import pytest
 
 from rcmsim.errors import ModelError, ParameterError
 from rcmsim.models import (TRUNCATION_EPS, connection_radius, eval_g, gaussian,
-                           load_table, log_normal, table_model, tail_integral,
-                           unit_disk, validate_model)
+                           load_table, log_normal, table_model, unit_disk,
+                           validate_model)
+from rcmsim.sampler import truncation_bias
 from oracles import mc_log_normal_C, quad_radial_C
 from test_theory import DENSE, TABLE3, TABLE5
 
@@ -51,10 +52,10 @@ def test_closed_form_C_matches_adaptive_quadrature(model):
     assert abs(model.C - want) <= max(model.C_error, 1e-13 * model.C)
     if model.kind == "log_normal":
         # the tail is pi e^{1/a^2} - C, a difference of C-sized numbers
-        assert abs(tail_integral(model) - tail) <= 1e-13 * model.C + tail_err
-        assert model.C_error == tail_integral(model) > 0.0
+        assert abs(model.C_error - tail) <= 1e-13 * model.C + tail_err
+        assert model.C_error > 0.0
     else:
-        assert model.C_error == tail_integral(model) == 0.0
+        assert model.C_error == 0.0
 
 
 def test_table_plateau_above_eps_diverges():
@@ -101,10 +102,11 @@ def test_truncation_epsilon_is_configurable():
 
 
 def test_tail_integral_zero_for_self_truncated():
-    assert tail_integral(unit_disk()) == 0.0
-    assert tail_integral(table_model([(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])) == 0.0
-    assert tail_integral(gaussian()) == pytest.approx(math.pi * TRUNCATION_EPS,
-                                                      rel=1e-6)
+    # the mass beyond the cutoff, C_error, is what truncation_bias counts
+    assert unit_disk().C_error == truncation_bias(unit_disk(), 1e3, 0.0) == 0.0
+    table = table_model([(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
+    assert table.C_error == truncation_bias(table, 1e3, 0.0) == 0.0
+    assert gaussian().C_error == pytest.approx(math.pi * TRUNCATION_EPS, rel=1e-6)
 
 
 def test_eval_g_rejects_negative():

@@ -168,13 +168,15 @@ def test_build_graph_memory_is_bounded():
     assert peak < 200e6
 
 
-def test_wide_square_range_needs_exact():
+def test_wide_square_range_matches_exact():
+    # r * cutoff = 0.56: the grid falls back to one cell, as exact=True forces
     p = SampleParams(1.2, 1.0, UD, Metric.SQUARE, 1, 0)
-    pts = np.array([[0.3, 0.3], [-0.3, -0.3], [0.1, -0.4]])
-    with pytest.raises(ParameterError):
-        build_graph(p, pts)
-    s = build_graph(p, pts, exact=True)
-    assert s.n_points == 3
+    assert p.r * UD.cutoff > 0.5
+    # (0, 3) are 0.55 apart, within range but more than half the cell
+    pts = np.array([[0.3, 0.3], [-0.3, -0.3], [0.1, -0.4], [-0.25, 0.3]])
+    s = build_graph(p, pts)
+    assert s.edges.tolist() == [[0, 3], [1, 2]]
+    assert np.array_equal(s.edges, build_graph(p, pts, exact=True).edges)
 
 
 def test_edge_probability_frequency():

@@ -5,6 +5,7 @@ of the disk overlap, MC of the dependence integral) live in oracles.py and
 share nothing with the quadrature code they validate.
 """
 
+import dataclasses
 import math
 import time
 import warnings
@@ -18,11 +19,9 @@ from rcmsim.errors import ParameterError, QuadratureError
 from rcmsim.geometry import Metric
 from rcmsim.models import (connection_radius, gaussian, log_normal,
                            table_model, unit_disk)
-from rcmsim.theory import (ChenSteinParams, DiscreteDistribution,
-                           TheoryReport, asymptotic_report, chen_stein_terms,
-                           chen_stein_tv_bound, empirical_distribution,
-                           expected_isolated, pair_correlation_factor,
-                           poisson_pmf, theory_report, tv_distance)
+from rcmsim.theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
+                           chen_stein_tv_bound, expected_isolated,
+                           pair_correlation_factor, theory_report, tv_to_poisson)
 from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
                      mc_cross_mass, mc_disk_mass, mc_lens_area, mc_visible_mass,
                      poisson_pmf_factorial, square_mean_dblquad)
@@ -474,6 +473,34 @@ def test_theory_does_not_nest_adaptive_quad(monkeypatch):
         theory._chen_stein.cache_clear()
 
 
+@pytest.mark.parametrize("quantity", [
+    lambda: chen_stein_terms(UD, 2000.0, 0.0, return_error=True)[1:],
+    lambda: expected_isolated(TABLE3, 4.0, 0.0, Metric.SQUARE, return_error=True),
+    lambda: expected_isolated(log_normal(4.0, 3.0), 2000.0, 0.0, Metric.SQUARE,
+                              return_error=True),
+], ids=["unit-disk-b2", "table-wide-square", "log-normal-square"])
+def test_reported_error_covers_node_perturbation(quantity, monkeypatch):
+    # the same Legendre nodes computed by scipy instead of numpy move each
+    # value by a few to 62 eps; |Q_2n - Q_n| alone read 4e-16 where the
+    # table's value moved by 4e-15
+    from scipy.special import roots_legendre
+
+    caches = (theory._rule, theory._expected_isolated_square, theory._chen_stein)
+    for cache in caches:
+        cache.cache_clear()
+    value, err = quantity()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", roots_legendre)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        moved, _ = quantity()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert moved != value
+    assert abs(moved - value) <= err
+
+
 def test_unconverged_rule_raises(monkeypatch):
     # orders too low for the tolerance: the rule fails loudly with its
     # achieved error estimate instead of returning a value
@@ -510,108 +537,116 @@ def test_tv_bound_assembly():
         chen_stein_tv_bound(0.1, math.inf, 0.0, 1.0)
 
 
-# --- discrete distributions ---
+# --- Poisson approximation, observed ---
+
+
+def _tv_oracle(counts, lam):
+    """TV over k = 0..max(max count, 10), the table taken from the
+    factorial series and the Poisson mass beyond it as one more cell."""
+    counts = np.asarray(counts)
+    k_max = max(int(counts.max()), 10)
+    want = poisson_pmf_factorial(lam, k_max)
+    observed = np.bincount(counts, minlength=k_max + 1) / counts.size
+    return 0.5 * np.abs(observed - want).sum() + 0.5 * (1.0 - want.sum())
 
 
 def test_poisson_pmf_matches_factorial_series():
-    for lam in (0.3, 1.0, 5.0):
-        got = poisson_pmf(lam, 20)
-        want = poisson_pmf_factorial(lam, 20)
-        assert np.max(np.abs(got.pmf - want)) < 1e-14
-        assert got.tail_mass == pytest.approx(1.0 - want.sum(), abs=1e-12)
+    # counts beyond the default table of 11 entries widen it
+    rng = np.random.default_rng(4)
+    for lam in (0.3, 1.0, 5.0, 12.0):
+        counts = rng.poisson(lam, 200)
+        assert tv_to_poisson(counts, lam) == pytest.approx(_tv_oracle(counts, lam),
+                                                           abs=1e-14)
 
 
 def test_poisson_pmf_edge_cases():
-    zero = poisson_pmf(0.0, 3)
-    assert zero.pmf[0] == 1.0 and zero.tail_mass == 0.0
-    with pytest.raises(ParameterError):
-        poisson_pmf(-1.0, 5)
-    with pytest.raises(ParameterError):
-        poisson_pmf(1.0, -1)
-
-
-def test_empirical_distribution_basics():
-    d = empirical_distribution([0, 1, 1, 3])
-    assert np.allclose(d.pmf, [0.25, 0.5, 0.0, 0.25])
-    assert d.tail_mass == 0.0
-    clipped = empirical_distribution([0, 1, 1, 3], k_max=1)
-    assert np.allclose(clipped.pmf, [0.25, 0.5])
-    assert clipped.tail_mass == pytest.approx(0.25)
-    padded = empirical_distribution([0, 1], k_max=4)
-    assert padded.pmf.size == 5 and padded.tail_mass == 0.0
-    with pytest.raises(ParameterError):
-        empirical_distribution([])
-    with pytest.raises(ParameterError):
-        empirical_distribution([0, -1])
-
-
-def test_distribution_table_is_read_only():
-    d = poisson_pmf(1.0, 4)
-    with pytest.raises(ValueError):
-        d.pmf[0] = 0.5
-    with pytest.raises(ParameterError):
-        DiscreteDistribution(pmf=np.array([0.5, 0.4]), tail_mass=0.0)
-    with pytest.raises(ParameterError):
-        DiscreteDistribution(pmf=np.array([-0.1, 1.1]), tail_mass=0.0)
+    # lambda = 0 is a point mass at zero
+    assert tv_to_poisson([0, 0, 0], 0.0) == 0.0
+    assert tv_to_poisson([0, 1, 1, 3], 0.0) == pytest.approx(0.75)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            tv_to_poisson([0, 1], bad)
 
 
 def test_tv_distance_examples():
-    p = poisson_pmf(1.0, 30)
-    assert tv_distance(p, p) == 0.0
-    q = poisson_pmf(1.1, 30)
-    pf = poisson_pmf_factorial(1.0, 30)
-    qf = poisson_pmf_factorial(1.1, 30)
-    want = 0.5 * np.abs(pf - qf).sum() + 0.5 * abs((1 - pf.sum()) - (1 - qf.sum()))
-    assert tv_distance(p, q) == pytest.approx(float(want), abs=1e-10)
-    assert tv_distance(p, q) == tv_distance(q, p)
-    # point mass at zero vs Poisson(1) clipped to the same table
-    point = empirical_distribution([0], k_max=0)
-    po = poisson_pmf(1.0, 0)
-    assert tv_distance(point, po) == pytest.approx(1.0 - math.exp(-1.0))
+    # a point mass at zero against Poisson(1): all of the Poisson mass
+    # off zero, tail included, counts
+    assert tv_to_poisson([0], 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+    counts = [0, 1, 1, 3]
+    assert tv_to_poisson(counts, 1.0) == pytest.approx(_tv_oracle(counts, 1.0), abs=1e-15)
+    with pytest.raises(ParameterError):
+        tv_to_poisson([], 1.0)
+    with pytest.raises(ParameterError):
+        tv_to_poisson([0, -1], 1.0)
 
 
 def test_tv_distance_sees_table_tail_split():
-    # same distribution, different table lengths: the mass parked in the
-    # tail on one side sits in the table on the other, and the metric
-    # reports exactly that transfer
-    short = poisson_pmf(1.0, 5)
-    long = poisson_pmf(1.0, 10)
-    moved = float(long.pmf[6:].sum())
-    assert tv_distance(short, long) == pytest.approx(moved, abs=1e-15)
+    # the table runs to the largest count: a count of 20 moves the Poisson
+    # mass at k = 11..20 from the tail cell into the table, where it still
+    # counts in full, so only the observed 1/2 at k = 20 changes the sum
+    short = tv_to_poisson([1, 1], 1.0)
+    long = tv_to_poisson([1, 20], 1.0)
+    pmf = poisson_pmf_factorial(1.0, 20)
+    assert short == pytest.approx(1.0 - pmf[1], abs=1e-15)
+    assert long == pytest.approx(
+        0.5 * (abs(0.5 - pmf[1]) + abs(0.5 - pmf[20]) + 1.0 - pmf[1] - pmf[20]), abs=1e-15)
 
 
 # --- reports ---
 
 
 def test_theory_report_fields():
-    rep = theory_report(UD, 1e3, 0.0, Metric.TORUS)
-    assert rep.asymptotic_mean == 1.0
-    assert rep.prob_no_isolated == pytest.approx(math.exp(-1.0))
-    assert rep.mean_degree == pytest.approx(math.log(1e3))
-    assert rep.expected_isolated == pytest.approx(1.0, abs=1e-12)
-    assert rep.boundary_excess > 0.0
-    sq = theory_report(UD, 1e3, 0.0, Metric.SQUARE)
-    assert sq.expected_isolated == pytest.approx(
-        rep.expected_isolated + rep.boundary_excess)
-
-
-def test_asymptotic_report_fields():
-    rep = asymptotic_report(1e3, 0.5)
-    assert rep.expected_isolated == pytest.approx(math.exp(-0.5))
+    rep = theory_report(UD, 1e3, 0.5, Metric.TORUS)
+    assert rep.asymptotic_mean == pytest.approx(math.exp(-0.5))
     assert rep.prob_no_isolated == pytest.approx(math.exp(-math.exp(-0.5)))
     assert rep.mean_degree == pytest.approx(math.log(1e3) + 0.5)
-    assert rep.boundary_excess == 0.0
+    assert rep.expected_isolated == rep.expected_isolated_torus
+    assert rep.expected_isolated == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert rep.quad_error_torus == 0.0 and rep.torus_error is None
+    assert rep.boundary_excess > 0.0
+    assert rep.expected_isolated_square == expected_isolated(UD, 1e3, 0.5, Metric.SQUARE)
+    assert 0.0 < rep.quad_error_square <= 1e-9 * rep.expected_isolated_square
+    sq = theory_report(UD, 1e3, 0.5, Metric.SQUARE)
+    assert sq.expected_isolated == sq.expected_isolated_square
+    assert sq.expected_isolated == pytest.approx(
+        rep.expected_isolated + rep.boundary_excess)
+    assert dataclasses.replace(sq, expected_isolated=rep.expected_isolated) == rep
+
+
+def test_square_report_carries_torus_failure():
+    # r * cutoff = 0.90: the torus fields give way to the reason, and only
+    # a torus report raises
+    rep = theory_report(GAUSS, 40.0, 0.0, Metric.SQUARE)
+    assert rep.expected_isolated == rep.expected_isolated_square > 0.0
+    assert rep.expected_isolated_torus is None and rep.quad_error_torus is None
+    assert rep.boundary_excess is None
+    assert "half the torus period" in rep.torus_error
+    with pytest.raises(ParameterError):
+        theory_report(GAUSS, 40.0, 0.0, Metric.TORUS)
+
+
+@pytest.mark.parametrize("rho, b, prob", [(2000.0, 40.0, 1.0), (1e30, -40.0, 0.0)])
+def test_report_at_extreme_offsets(rho, b, prob):
+    # exp(-exp(-b)) rounds to exactly 1 or 0: a valid limit, not an error
+    rep = theory_report(UD, rho, b, Metric.TORUS)
+    assert rep.prob_no_isolated == prob
+    assert math.isfinite(rep.expected_isolated_square)
+    assert rep.expected_isolated == pytest.approx(math.exp(-b), rel=1e-9)
 
 
 def test_report_validation():
+    fields = dict(expected_isolated=1.0, expected_isolated_square=1.5,
+                  quad_error_square=0.0, expected_isolated_torus=1.0,
+                  quad_error_torus=0.0, boundary_excess=0.5, torus_error=None,
+                  asymptotic_mean=1.0, prob_no_isolated=0.5, mean_degree=1.0)
+    TheoryReport(**fields)
+    TheoryReport(**{**fields, "prob_no_isolated": 1.0})
     with pytest.raises(ParameterError):
-        TheoryReport(expected_isolated=-1.0, asymptotic_mean=1.0,
-                     prob_no_isolated=0.5, mean_degree=1.0,
-                     boundary_excess=0.0)
+        TheoryReport(**{**fields, "expected_isolated": -1.0})
     with pytest.raises(ParameterError):
-        TheoryReport(expected_isolated=1.0, asymptotic_mean=1.0,
-                     prob_no_isolated=1.5, mean_degree=1.0,
-                     boundary_excess=0.0)
+        TheoryReport(**{**fields, "prob_no_isolated": 1.5})
+    with pytest.raises(ParameterError):
+        TheoryReport(**{**fields, "quad_error_square": math.nan})
 
 
 def test_scale_guard():
@@ -622,4 +657,4 @@ def test_scale_guard():
     with pytest.raises(ParameterError):
         expected_isolated(UD, 1e3, 0.0, "torus")
     with pytest.raises(ParameterError):
-        asymptotic_report(1.0, 0.0)
+        theory_report(UD, 1.0, 0.0)
