@@ -580,6 +580,25 @@ def test_tv_distance_examples():
         tv_to_poisson([0, -1], 1.0)
 
 
+def test_empirical_distribution_basics():
+    # the observed side is the empirical law of the counts: order and
+    # repetition of the whole sample leave it unchanged, and a count past
+    # the default table widens the table to reach it
+    counts = [0, 1, 1, 3]
+    observed = np.array([0.25, 0.5, 0.0, 0.25] + [0.0] * 8)
+    pmf = poisson_pmf_factorial(0.7, 11)
+    want = 0.5 * np.abs(observed - pmf).sum() + 0.5 * (1.0 - pmf.sum())
+    assert tv_to_poisson(counts, 0.7) == pytest.approx(float(want), abs=1e-15)
+    assert tv_to_poisson([3, 1, 0, 1], 0.7) == tv_to_poisson(counts, 0.7)
+    assert tv_to_poisson(counts * 2, 0.7) == pytest.approx(
+        tv_to_poisson(counts, 0.7), abs=1e-15)
+    assert tv_to_poisson([0, 15], 0.7) == pytest.approx(_tv_oracle([0, 15], 0.7),
+                                                        abs=1e-15)
+    with pytest.raises(ParameterError):
+        tv_to_poisson([], 0.7)
+    with pytest.raises(ParameterError):
+        tv_to_poisson([0, -1], 0.7)
+
 def test_tv_distance_sees_table_tail_split():
     # the table runs to the largest count: a count of 20 moves the Poisson
     # mass at k = 11..20 from the tail cell into the table, where it still
@@ -612,6 +631,16 @@ def test_theory_report_fields():
         rep.expected_isolated + rep.boundary_excess)
     assert dataclasses.replace(sq, expected_isolated=rep.expected_isolated) == rep
 
+
+def test_asymptotic_report_fields():
+    # the limit fields depend on b and the scale log rho + b alone: the
+    # same on either metric and for any model
+    for model, metric in ((UD, Metric.TORUS), (UD, Metric.SQUARE),
+                          (TABLE3, Metric.TORUS)):
+        rep = theory_report(model, 1e3, 0.5, metric)
+        assert rep.asymptotic_mean == pytest.approx(math.exp(-0.5))
+        assert rep.prob_no_isolated == pytest.approx(math.exp(-math.exp(-0.5)))
+        assert rep.mean_degree == pytest.approx(math.log(1e3) + 0.5)
 
 def test_square_report_carries_torus_failure():
     # r * cutoff = 0.90: the torus fields give way to the reason, and only
