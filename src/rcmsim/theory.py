@@ -17,10 +17,12 @@ r = sqrt((log rho + b) / (C rho)):
       four corners (2-D), all computed in scaled coordinates; wider
       supports take one tensor rule over a quadrant of the cell.  Both
       take I from one function, `_visible_mass`, for up to four clipping
-      lines: closed form for the unit disk and for tables, else a radial
-      rule at the order of the enclosing rule.
+      lines: closed form (Owen's T for the Gaussian) but for the
+      log-normal's radial rule at the order of the enclosing rule.
   pair correlation of isolation at separation d:
-      (1 - g(d/r)) * exp(rho * int g(|x|/r) g(|x - d|/r) dx).
+      (1 - g(d/r)) * exp(rho * int g(|x|/r) g(|x - d|/r) dx), the cross
+      mass int g g closed form for the unit disk, one angular panel over
+      the lens of the cutoff discs for the Gaussian, else a 2-D rule.
   dependence bounds b1, b2 for the Poisson approximation of the torus
       isolated-node count, with neighborhood exponent epsilon in (0, 1/2);
       the total-variation bound assembles as
@@ -305,13 +307,39 @@ def _visible_mass(model: ConnectionModel, deltas, n: int):
     that broadcast together): the full mass, less what lies beyond each
     line, plus what lies beyond two adjacent lines, which both of them took
     (triple overlaps cannot occur for a center inside the cell).  Closed
-    form for the unit disk and for tables, else the radial rule at order n."""
+    form but for the log-normal, which takes the radial rule at order n."""
     if model.kind == "unit_disk":
         return (math.pi - sum(_disk_cap(x) for x in deltas)
                 + sum(_disk_corner(deltas[i], deltas[j]) for i, j in _ADJACENT))
+    if model.kind == "gaussian":
+        return _visible_mass_gaussian(model, deltas)
     if model.kind == "table":
         return _visible_mass_table(model, deltas)
     return _visible_mass_rule(model, deltas, n)
+
+
+def _visible_mass_gaussian(model: ConnectionModel, deltas) -> np.ndarray:
+    """`_visible_mass` of the Gaussian e^{-u^2} cut at c, eps = e^{-c^2}.
+    By parts through Owen's T, the mass beyond a clip at delta < c is
+    2 A(delta), A = pi T(sqrt(2) delta, sqrt(c^2 - delta^2) / delta) -
+    eps arccos(delta / c) / 2; a pair with hypot(d1, d2) < c overlaps by
+    A(d1) + A(d2) + pi eps / 4 - pi [T(sqrt(2) d1, d2 / d1) + (1 <-> 2)],
+    where the bracket is (Q1 + Q2) / 2 - Q1 Q2 with Q = erfc(d) / 2."""
+    from scipy import special
+
+    c = model.cutoff
+    eps = math.exp(-c * c)
+    d = [np.minimum(x, c) for x in deltas]
+    with np.errstate(divide="ignore"):
+        beyond = [math.pi * special.owens_t(math.sqrt(2.0) * x, np.sqrt(c * c - x * x) / x)
+                  - 0.5 * eps * np.arccos(x / c) for x in d]
+    q = [0.5 * special.erfc(x) for x in d]
+    out = _truncated_mass(model) - 2.0 * sum(beyond)
+    for i, j in _ADJACENT:
+        pair = (beyond[i] + beyond[j] + 0.25 * math.pi * eps
+                - math.pi * (0.5 * (q[i] + q[j]) - q[i] * q[j]))
+        out = out + np.where(np.hypot(d[i], d[j]) < c, pair, 0.0)
+    return out
 
 
 def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
@@ -516,13 +544,24 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
     breaks of g, at s and where the circle of radius k about the second
     center is tangent (|k - s|, k + s) for each kink k; angular ones where
     |y - s e_x| crosses a k, taking in a block of radii only the k that one
-    of its circles crosses."""
+    of its circles crosses.  The unit disk's lens is closed form; the
+    Gaussian's e^{-|y|^2 - |y - s|^2} = e^{-s^2/2} e^{-2 |y - s/2|^2} leaves
+    e^{-s^2/2} int_0^{pi/2} (1 - e^{-2 R^2}) dphi, one smooth panel, with
+    R(phi) = sqrt(c^2 - (s/2)^2 sin^2 phi) - (s/2) cos phi where a ray from
+    the midpoint leaves the lens of the two cutoff discs (0 for s >= 2c)."""
     s = np.asarray(s, dtype=np.float64)
     cutoff = model.cutoff
     if model.kind == "unit_disk":
         # overlap of two unit disks with centers s apart
         half = np.minimum(0.5 * s, 1.0)
         return 2.0 * np.arccos(half) - half * np.sqrt(np.maximum(4.0 - s * s, 0.0))
+    if model.kind == "gaussian":
+        phi, w = _panels(np.array([0.0, 0.5 * math.pi]), n)
+        half = np.minimum(0.5 * s, cutoff)[..., None]
+        # R(phi), rationalized so that it keeps its digits as the lens closes
+        lens = (cutoff * cutoff - half * half) / (
+            np.sqrt(cutoff * cutoff - (half * np.sin(phi))**2) + half * np.cos(phi))
+        return np.exp(-0.5 * s * s) * (-np.expm1(-2.0 * lens * lens) @ w)
     k = np.array(_kinks(model))
     radial = _radial_breaks(model)
     flat = s.reshape(-1)
