@@ -17,8 +17,8 @@ from .models import (ConnectionModel, ModelValidationReport, connection_radius,
                      eval_g, gaussian, load_table, log_normal, table_model,
                      unit_disk, validate_model)
 from .sampler import (CoupledSample, NetworkSample, SampleParams, build_graph,
-                      couple_torus_to_square, sample_points, thin_edges,
-                      truncation_bias, write_edge_list)
+                      couple_torus_to_square, sample_points, truncation_bias,
+                      write_edge_list)
 from .analysis import (TrialRecord, components, coupled_statistics,
                        isolated_count, trial_statistics)
 from .theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
@@ -62,7 +62,6 @@ __all__ = [
     "sample_points",
     "table_model",
     "theory_report",
-    "thin_edges",
     "trial_statistics",
     "truncation_bias",
     "tv_to_poisson",

@@ -581,7 +581,6 @@ def _cmd_validate_model(args) -> int:
         "range_ok": v.range_ok,
         "integral_finite": v.integral_finite,
         "tail_ok": v.tail_ok,
-        "tail_witness": v.tail_witness,
         "ok": v.ok,
     }
     sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")

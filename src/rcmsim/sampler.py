@@ -16,6 +16,8 @@ pairs are realized in cell order and in slices of fixed size, so memory
 stays bounded for any density and kernel support.  A squared-distance
 filter with slack passes a superset of the pairs in range to the exact
 hypot test, the coin and g; edges are sorted by the int64 key i * n + j.
+The coupled metric draws nothing of its own: its square graph is the
+torus graph less the wrapping edges.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ class NetworkSample:
 
 @dataclass(frozen=True)
 class CoupledSample:
-    """Torus graph and its thinned square companion on the same points.
+    """Torus graph and its square companion on the same points.
 
-    square_edges is a subset of torus_edges; removed_edges is the exact
-    difference.  Isolation counts therefore satisfy
+    square_edges is the torus graph less its wrapping edges, which are
+    removed_edges.  Isolation counts therefore satisfy
     isolated(square) = isolated(torus) + newly isolated near the boundary.
     """
 
@@ -150,46 +152,24 @@ def build_graph(params: SampleParams, points: np.ndarray,
     return NetworkSample(params, points, _grid_edges(params, points, key, m))
 
 
-def thin_edges(sample: NetworkSample, keep_ratio, stream_tag: int) -> NetworkSample:
-    """Independently keep each edge with probability keep_ratio(a, b).
-
-    keep_ratio receives the two (m, 2) endpoint coordinate blocks and
-    returns per-edge probabilities in [0, 1]; values outside the range
-    (beyond float slack) are a model error.  keep_ratio identically 1
-    returns the identical edge set.  Thinning randomness is the stream
-    (master_seed, trial_index, stream_tag, i, j), independent of the
-    stream that realized the edges.
-    """
-    return NetworkSample(sample.params, sample.points,
-                         sample.edges[_keep_mask(sample, keep_ratio, stream_tag)])
-
-
 def couple_torus_to_square(params: SampleParams) -> CoupledSample:
-    """One trial under the shared-randomness boundary coupling.
+    """One trial of the torus graph and its square companion on one point set.
 
-    Build the torus graph, then keep each edge with probability
-    g(d_euclid / r) / g(d_torus / r).  The surviving graph is distributed
-    exactly as a direct square-metric trial on the same points, and it is
-    a subgraph of the torus graph, so newly isolated nodes are a
-    nonnegative per-trial boundary effect.  For the unit-disk kernel the
-    square graph is exactly the pairs with Euclidean distance <= r.
+    The square graph is the torus graph less its wrapping edges.  A torus
+    edge that wraps is at least 1 - r * cutoff >= 1/2 long on the square,
+    beyond the support, and an edge that does not wrap is equally long in
+    both metrics and draws the same coin.  So the torus edges within
+    r * cutoff in the square metric are exactly the edges of a direct
+    square-metric trial on the same seed, trial and points, and newly
+    isolated nodes are a nonnegative per-trial boundary effect.
     """
     if params.metric is not Metric.TORUS:
         raise ParameterError("coupling starts from a torus-metric SampleParams")
     points = sample_points(params)
-    torus = build_graph(params, points)
-    model, r = params.model, params.r
-
-    def ratio(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-        d_t = distance_arrays(Metric.TORUS, pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
-        d_e = distance_arrays(Metric.SQUARE, pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
-        g_t = model.g(d_t / r)
-        g_e = model.g(d_e / r)
-        # realized torus edges always have g_t > 0
-        return np.divide(g_e, g_t, out=np.zeros_like(g_e), where=g_t > 0.0)
-
-    keep = _keep_mask(torus, ratio, streams.TAG_COUPLING)
-    edges = torus.edges
+    edges = build_graph(params, points).edges
+    pa, pb = points[edges[:, 0]], points[edges[:, 1]]
+    keep = (distance_arrays(Metric.SQUARE, pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
+            <= params.r * params.model.cutoff)
     return CoupledSample(params, points, edges, edges[keep], edges[~keep])
 
 
@@ -230,29 +210,6 @@ def _write_edge_list(sample: NetworkSample, fh) -> None:
 
 # ---------------------------------------------------------------------------
 # internals
-
-
-def _keep_mask(sample: NetworkSample, keep_ratio, stream_tag: int) -> np.ndarray:
-    """Which edges `thin_edges` keeps, as a boolean mask over sample.edges."""
-    if stream_tag in (streams.TAG_POINT_COUNT, streams.TAG_POINT_COORDS,
-                      streams.TAG_EDGES):
-        raise ParameterError(f"stream tag {stream_tag} is reserved by the sampler")
-    edges = sample.edges
-    if edges.shape[0] == 0:
-        return np.ones(0, dtype=bool)
-    pa = sample.points[edges[:, 0]]
-    pb = sample.points[edges[:, 1]]
-    ratio = np.asarray(keep_ratio(pa, pb), dtype=np.float64)
-    if ratio.shape != (edges.shape[0],):
-        raise ModelError(
-            f"keep_ratio returned shape {ratio.shape}, expected ({edges.shape[0]},)"
-        )
-    if np.any(ratio < -1e-12) or np.any(ratio > 1.0 + 1e-12):
-        raise ModelError("keep probability outside [0, 1]")
-    ratio = np.clip(ratio, 0.0, 1.0)
-    key = streams.stream_key(sample.params.master_seed,
-                             sample.params.trial_index, stream_tag)
-    return streams.pair_uniform_array(key, edges[:, 0], edges[:, 1]) < ratio
 
 
 def _grid_side(reach: float, n: int) -> int:

@@ -7,8 +7,8 @@ simulation does not depend on evaluation order, chunking, or the number
 of worker processes.  The same mixing runs either on Python ints or on
 numpy uint64 arrays; the two paths are bit-identical (tested).
 
-Stream tags 0..7 are reserved for the sampler.  Callers supplying their
-own tag (edge thinning) should use 8 or above.
+A trial draws from three streams, tagged 0 (point count), 1 (point
+coordinates) and 2 (edge coins); no other stream exists.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ _M2 = 0x94D049BB133111EB
 TAG_POINT_COUNT = 0
 TAG_POINT_COORDS = 1
 TAG_EDGES = 2
-TAG_COUPLING = 3
-TAG_USER_BASE = 8
 
 # Mean at or above which node counts switch from CDF inversion to the
 # transformed-rejection sampler.  Pinned so golden outputs stay stable.

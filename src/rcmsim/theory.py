@@ -46,7 +46,7 @@ then 32), else QuadratureError is raised.  The visible mass converges
 with the rule around it, so no convergence loop nests inside another.  A
 table kernel is linear between knots, so the mass it shows inside
 clipping lines has a closed form: the square means of tables need no
-radial rule, and a corner node costs the same for any knot count.
+radial rule, and a corner node adds little more than a knot search.
 Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
 memory stays small.
 """
@@ -270,18 +270,6 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     d, w = _panels(base, n)
     edge = _visible_mass(model, (d, math.inf, math.inf, math.inf), n)
     live = np.flatnonzero(np.repeat(corner, n))
-    if model.kind == "table":
-        # arc integrals on d once: a corner node then costs O(1), not O(knots)
-        zero = _arc_suffix(model, 0.0)
-        arcs = _arc_suffix(model, d)
-
-        def corner_rows(rows):
-            return (edge[rows, None] - 2.0 * arcs[:, 0]
-                    + _arc_overlap(model, zero, arcs[rows, None], d[rows, None], arcs, d))
-    else:
-        def corner_rows(rows):
-            return _visible_mass(model, (d[rows, None], math.inf, d, math.inf), n)
-
     # the corner overlap sets in on the arc hypot(d1, d2) = cutoff with a
     # (cutoff - h)^(3/2) kink weighted by g(cutoff): 1 for the unit disk,
     # else the truncation eps, which a model may set large.  In each row of
@@ -295,8 +283,9 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     for lo in range(0, live.size, step):
         rows = live[lo:lo + step]
         kept = np.where(panel == crossed[rows, None], 0.0, w)
+        mass = _visible_mass(model, (d[rows, None], math.inf, d, math.inf), n)
         split = _visible_mass(model, (d[rows, None], math.inf, split_d[rows], math.inf), n)
-        q_corner += w[rows] @ (np.sum(kept * np.exp(-scale * corner_rows(rows)), axis=1)
+        q_corner += w[rows] @ (np.sum(kept * np.exp(-scale * mass), axis=1)
                                + np.sum(split_w[rows] * np.exp(-scale * split), axis=1))
     return w @ np.exp(-scale * edge), q_corner
 
@@ -452,13 +441,15 @@ def _disk_cap(delta):
 
 
 def _disk_corner(d1, d2):
-    """Area of the unit disk with x >= d1 and y >= d2 (both >= 0)."""
+    """Area of the unit disk with x >= d1 and y >= d2 (both >= 0), exactly 0
+    for a corner outside the disk, where the closed form leaves ~1e-14."""
     d2 = np.minimum(d2, 1.0)
     x_hi = np.sqrt(1.0 - d2 * d2)
     x_lo = np.minimum(d1, x_hi)
     # int_{x_lo}^{x_hi} (sqrt(1 - x^2) - d2) dx
-    return (0.5 * (np.arcsin(x_hi) - np.arcsin(x_lo) - x_lo * np.sqrt(1.0 - x_lo * x_lo)
-                   - x_hi * d2) + d2 * x_lo)
+    return np.where(np.hypot(d1, d2) >= 1.0, 0.0,
+                    0.5 * (np.arcsin(x_hi) - np.arcsin(x_lo) - x_lo * np.sqrt(1.0 - x_lo * x_lo)
+                           - x_hi * d2) + d2 * x_lo)
 
 
 def _kinks(model: ConnectionModel) -> tuple[float, ...]:

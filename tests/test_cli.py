@@ -496,6 +496,21 @@ assert "scipy.integrate" not in sys.modules
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("sigma_db,eta", [(60.0, 1.0), (1000.0, 0.5)])
+def test_extreme_log_normal_exits_model_failure(tmp_path, capsys, sigma_db, eta):
+    # a spread with no finite cutoff (and at (1000, 0.5) an overflowing
+    # mass) is a model validation failure in every command, not a crash
+    spec = {"kind": "log_normal", "sigma_db": sigma_db, "eta": eta}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert main(["validate-model", str(path)]) == EXIT_MODEL
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["ok"] and not doc["integral_finite"] and not doc["tail_ok"]
+    assert main(["theory", "--model", str(path), "--rho", "2000", "--b", "0"]) == EXIT_MODEL
+    assert main(["simulate", _write_config(tmp_path, model=spec)]) == EXIT_MODEL
+    assert "validation" in capsys.readouterr().err
+
+
 def test_validate_model_subcommand(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"kind": "log_normal", "sigma_db": 4.0,
@@ -503,6 +518,8 @@ def test_validate_model_subcommand(tmp_path, capsys):
     assert main(["validate-model", str(good)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] and doc["kind"] == "log_normal"
+    assert set(doc) == {"kind", "cutoff", "C", "C_error", "monotone_ok", "range_ok",
+                        "integral_finite", "tail_ok", "ok"}
     assert doc["C"] == pytest.approx(4.801276, abs=2e-4)
 
     # also accepts a whole campaign config and digs out the model

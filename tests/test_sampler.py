@@ -7,14 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rcmsim import sampler, streams
+from rcmsim import sampler
 from rcmsim.errors import ModelError, ParameterError
 from rcmsim.geometry import Metric, distance_arrays
 from rcmsim.models import (connection_radius, eval_g, gaussian, log_normal,
                            table_model, unit_disk)
 from rcmsim.sampler import (SampleParams, build_graph, couple_torus_to_square,
-                            sample_points, thin_edges, truncation_bias,
-                            write_edge_list)
+                            sample_points, truncation_bias, write_edge_list)
 from oracles import brute_force_edges
 
 UD = unit_disk()
@@ -228,27 +227,7 @@ def test_build_graph_rejects_outside_points():
         build_graph(p, np.array([[0.5, 0.0]]))  # +1/2 excluded
 
 
-# --- thinning and coupling ---
-
-
-def test_thin_edges_keep_all_and_none():
-    p = _params(300.0, 0.0)
-    s = build_graph(p, sample_points(p))
-    kept = thin_edges(s, lambda a, b: np.ones(len(a)), streams.TAG_USER_BASE)
-    assert np.array_equal(kept.edges, s.edges)
-    none = thin_edges(s, lambda a, b: np.zeros(len(a)), streams.TAG_USER_BASE)
-    assert none.n_edges == 0
-
-
-def test_thin_edges_rejects_reserved_tags_and_bad_ratios():
-    p = _params(200.0, 0.0)
-    s = build_graph(p, sample_points(p))
-    with pytest.raises(ParameterError):
-        thin_edges(s, lambda a, b: np.ones(len(a)), streams.TAG_EDGES)
-    with pytest.raises(ModelError):
-        thin_edges(s, lambda a, b: np.full(len(a), 1.5), streams.TAG_USER_BASE)
-    with pytest.raises(ModelError):
-        thin_edges(s, lambda a, b: np.full(len(a), -0.2), streams.TAG_USER_BASE)
+# --- coupling ---
 
 
 def test_coupling_square_subset_of_torus():
@@ -306,13 +285,31 @@ def test_coupling_requires_torus_params():
         couple_torus_to_square(p)
 
 
-def test_gaussian_coupling_ratio_always_valid():
-    # g(euclid)/g(torus) <= 1 for monotone kernels; must never trip the
-    # ratio check
-    for t in range(50):
-        p = _params(400.0, 0.5, model=GAUSS, trial=t, seed=31)
-        c = couple_torus_to_square(p)
-        assert len(c.square_edges) <= len(c.torus_edges)
+def test_coupled_square_edges_equal_direct_square_build():
+    # the torus graph less its wrapping edges is, edge for edge, the direct
+    # square-metric graph on the same seed, trial and points: a wrapping
+    # edge is at least 1 - r * cutoff >= 1/2 long on the square, and a
+    # kept edge is equally long in both metrics.  A cell whose support does
+    # not fit the torus at b = 0 takes the b that sets r * cutoff to 0.45
+    table3 = table_model([(0.0, 1.0), (1.0, 0.6), (2.0, 0.0)])
+    for model in (UD, GAUSS, gaussian(cutoff_eps=0.1), table3):
+        for rho in (5.0, 40.0, 400.0, 2000.0):
+            b = min(0.0, (0.45 / model.cutoff) ** 2 * model.C * rho - math.log(rho))
+            r = connection_radius(model.C, rho, b)
+            for trial in range(3):
+                p = _params(rho, b, model=model, trial=trial, seed=31)
+                c = couple_torus_to_square(p)
+                sq = SampleParams(rho, b, model, Metric.SQUARE, 31, trial)
+                assert np.array_equal(c.square_edges,
+                                      build_graph(sq, c.points).edges), (model, rho)
+                for edges, wraps in ((c.square_edges, False), (c.removed_edges, True)):
+                    pa, pb = c.points[edges[:, 0]], c.points[edges[:, 1]]
+                    args = (pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
+                    d_sq = distance_arrays(Metric.SQUARE, *args)
+                    if wraps:
+                        assert np.all(d_sq >= 1.0 - r * model.cutoff)
+                    else:
+                        assert np.array_equal(d_sq, distance_arrays(Metric.TORUS, *args))
 
 
 # --- truncation bias and persistence ---

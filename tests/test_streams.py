@@ -38,7 +38,7 @@ def test_uniform_scalar_matches_array():
 
 
 def test_uniform_range_and_moments():
-    key = streams.stream_key(7, 0, streams.TAG_USER_BASE)
+    key = streams.stream_key(7, 0, 8)
     u = streams.uniform_array(key, np.arange(1_000_000, dtype=np.uint64))
     assert u.min() >= 0.0 and u.max() < 1.0
     # mean 1/2 sd 1/sqrt(12): allow 5 sigma
@@ -130,7 +130,7 @@ def test_poisson_rejects_negative_mean():
 
 
 def test_determinism_repeated_calls():
-    key = streams.stream_key(2**63 + 17, 41, streams.TAG_COUPLING)
+    key = streams.stream_key(2**63 + 17, 41, 3)
     a = streams.uniform_array(key, np.arange(100, dtype=np.uint64))
     b = streams.uniform_array(key, np.arange(100, dtype=np.uint64))
     assert np.array_equal(a, b)

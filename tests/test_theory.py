@@ -24,7 +24,8 @@ from rcmsim.theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
                            pair_correlation_factor, theory_report, tv_to_poisson)
 from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
                      mc_cross_mass, mc_disk_mass, mc_lens_area, mc_visible_mass,
-                     poisson_pmf_factorial, square_mean_dblquad)
+                     poisson_pmf_factorial, square_mean_dblquad,
+                     unit_disk_square_mean_edge)
 
 UD = unit_disk()
 GAUSS = gaussian()
@@ -253,6 +254,24 @@ def test_unit_disk_closed_forms_match_generic_path():
     assert got.shape == (3, 3)
     assert got[1, 2] == pytest.approx(theory._visible_mass(UD, (0.4, 0.5, 0.9, inf), 8),
                                       rel=1e-15)
+
+
+def test_unit_disk_corner_beyond_the_disk_is_exactly_zero():
+    # a clip pair whose corner lies outside the disk overlaps nowhere; the
+    # closed form would leave 2.1e-14 here, which the edge layer amplifies
+    # by rho r^2 = 73 at rho 1e100
+    inf = math.inf
+    cap = math.acos(1e-3) - 1e-3 * math.sqrt(1.0 - 1e-6)
+    assert float(theory._disk_corner(inf, 1e-3)) == 0.0
+    assert float(theory._visible_mass(UD, (1e-3, inf, inf, inf), 8)) == pytest.approx(
+        math.pi - cap, abs=1e-15)
+
+
+@pytest.mark.parametrize("b", [0.0, 3.0])
+def test_unit_disk_square_mean_at_huge_density_vs_edge_oracle(b):
+    value, err = expected_isolated(UD, 1e100, b, Metric.SQUARE, return_error=True)
+    want = unit_disk_square_mean_edge(1e100, b)
+    assert abs(value - want) <= err, (value, err, want)
 
 
 def test_square_decomposition_matches_direct_quadrature():
