@@ -12,18 +12,17 @@ quadrature.
 
 from .errors import (ConfigError, ModelError, ParameterError, QuadratureError,
                      RcmError)
-from .geometry import Metric, Point2, distance, distance_arrays
+from .geometry import Metric, distance_arrays
 from .models import (ConnectionModel, ModelValidationReport, connection_radius,
-                     eval_g, gaussian, load_table, log_normal, table_model,
-                     unit_disk, validate_model)
+                     gaussian, load_table, log_normal, table_model, unit_disk,
+                     validate_model)
 from .sampler import (CoupledSample, NetworkSample, SampleParams, build_graph,
-                      couple_torus_to_square, sample_points, truncation_bias,
-                      write_edge_list)
+                      couple_torus_to_square, sample_points, truncation_bias)
 from .analysis import (TrialRecord, components, coupled_statistics,
                        isolated_count, trial_statistics)
 from .theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
-                     chen_stein_tv_bound, expected_isolated,
-                     pair_correlation_factor, theory_report, tv_to_poisson)
+                     chen_stein_tv_bound, expected_isolated, theory_report,
+                     tv_to_poisson)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "ModelValidationReport",
     "NetworkSample",
     "ParameterError",
-    "Point2",
     "QuadratureError",
     "RcmError",
     "SampleParams",
@@ -50,15 +48,12 @@ __all__ = [
     "connection_radius",
     "couple_torus_to_square",
     "coupled_statistics",
-    "distance",
     "distance_arrays",
-    "eval_g",
     "expected_isolated",
     "gaussian",
     "isolated_count",
     "load_table",
     "log_normal",
-    "pair_correlation_factor",
     "sample_points",
     "table_model",
     "theory_report",
@@ -67,5 +62,4 @@ __all__ = [
     "tv_to_poisson",
     "unit_disk",
     "validate_model",
-    "write_edge_list",
 ]

@@ -27,7 +27,8 @@ Model specs: {"kind": "unit_disk"}, {"kind": "gaussian", "cutoff_eps": ...},
 {"kind": "table", "knots": [[0.0, 1.0], ...]} or {"kind": "table",
 "path": "kernel.txt"}.
 
-Cells with log rho + b <= 0 are skipped with a warning, not an error.
+Cells with log rho + b <= 0, or whose scaled support r * cutoff exceeds
+1/2, are skipped with a warning, not an error.
 Exit codes: 0 success (possibly with skipped cells), 2 bad config or
 parameters, 3 model validation failure, 4 I/O failure.
 """
@@ -316,13 +317,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1
     metric = Metric.TORUS if config.metric == "coupled" else Metric(config.metric)
     for idx, (rho, b) in enumerate(cells):
         try:
-            # SampleParams refuses a wide support on the torus; this test, on
-            # every metric, keeps the campaign to cells whose support fits
-            probe = SampleParams(rho, b, config.model, metric, config.master_seed, 0)
-            reach = probe.r * config.model.cutoff
-            reason = None if reach <= 0.5 else (
-                f"r * cutoff = {reach:.4g} exceeds 1/2, which a campaign cannot run; "
-                "`rcmsim theory` still gives the square mean")
+            SampleParams(rho, b, config.model, metric, config.master_seed, 0)
+            reason = None
         except ParameterError as e:
             reason = SKIP_REASON if math.log(rho) + b <= 0 else str(e)
         if reason is None:
@@ -539,8 +535,6 @@ def _cmd_theory(args) -> int:
     params = ChenSteinParams(epsilon=args.epsilon)
     report = _record_dict(theory_report(model, args.rho, args.b, Metric.SQUARE))
     del report["expected_isolated"]  # the square mean, under its own key
-    if report["torus_error"] is None:
-        del report["torus_error"]
     doc = {
         "model": model.kind,
         "rho": args.rho,

@@ -2,63 +2,23 @@
 
 The domain is the half-open unit square [-1/2, 1/2)^2, read either with
 the plain Euclidean metric or as a flat torus.  The toroidal distance is
-the minimum Euclidean distance over the 3x3 grid of integer translates;
-for coordinates inside a unit cell this scan is exhaustive.
+the minimum Euclidean distance over the integer translates, which for
+coordinates inside a unit cell folds each axis to its nearest image.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
-
 LO = -0.5
 HI = 0.5
-
-# every integer offset whose translate can realize the toroidal minimum
-# for points inside one unit cell
-_OFFSETS = [(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)]
 
 
 class Metric(Enum):
     TORUS = "torus"
     SQUARE = "square"
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A location in the half-open unit cell. Out-of-cell input is rejected."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (LO <= self.x < HI and LO <= self.y < HI):
-            raise ParameterError(
-                f"point ({self.x}, {self.y}) outside [{LO}, {HI}) x [{LO}, {HI})"
-            )
-
-
-def distance(metric: Metric, p: Point2, q: Point2) -> float:
-    """Distance between two points under the chosen metric.
-
-    Euclidean for Metric.SQUARE; minimum over the nine integer translates
-    for Metric.TORUS (branch-free, provably exhaustive in a unit cell).
-    """
-    dx = p.x - q.x
-    dy = p.y - q.y
-    if metric is Metric.SQUARE:
-        return math.hypot(dx, dy)
-    best = math.inf
-    for ox, oy in _OFFSETS:
-        d2 = (dx + ox) ** 2 + (dy + oy) ** 2
-        if d2 < best:
-            best = d2
-    return math.sqrt(best)
 
 
 def distance_arrays(
@@ -68,11 +28,12 @@ def distance_arrays(
     bx: np.ndarray,
     by: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized `distance` over coordinate arrays.
+    """Distances between the points (ax, ay) and (bx, by), elementwise.
 
-    The toroidal branch folds each axis to its nearest image, which equals
-    the 9-translate minimum because the metric separates per axis; the
-    equivalence is property-tested against the scalar form.
+    Euclidean for Metric.SQUARE.  The toroidal branch folds each axis to
+    its nearest image, which equals the minimum over the nine integer
+    translates because the metric separates per axis; the tests check it
+    against that scalar scan.
     """
     dx = np.asarray(ax, dtype=np.float64) - np.asarray(bx, dtype=np.float64)
     dy = np.asarray(ay, dtype=np.float64) - np.asarray(by, dtype=np.float64)

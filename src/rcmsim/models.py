@@ -130,17 +130,6 @@ class ConnectionModel:
         )
 
 
-def eval_g(model: ConnectionModel, x):
-    """Evaluate the truncated kernel at x (scalar or array), x >= 0."""
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0):
-        raise ParameterError("kernel argument must be >= 0")
-    out = model.g(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def connection_radius(C: float, rho: float, b: float) -> float:
     """Connection range sqrt((log rho + b) / (C rho)), natural log.
 
@@ -155,6 +144,17 @@ def connection_radius(C: float, rho: float, b: float) -> float:
     if s <= 0.0:
         raise ParameterError(f"log rho + b must be positive, got {s:.6g}")
     return math.sqrt(s / (C * rho))
+
+
+def support_radius(model: ConnectionModel, rho: float, b: float) -> float:
+    """`connection_radius` of the model, refusing a scaled support
+    r * cutoff above 1/2: the package's one rule for every metric.  Within
+    it the support fits half the torus period, and on the square no point
+    sees two opposite edges."""
+    r = connection_radius(model.C, rho, b)
+    if r * model.cutoff > 0.5:
+        raise ParameterError(f"r * cutoff = {r * model.cutoff:.4g} exceeds 1/2")
+    return r
 
 
 # ---------------------------------------------------------------------------

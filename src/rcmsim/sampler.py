@@ -6,6 +6,8 @@ probability g(d_ij / r) where d_ij is the metric distance and
 r = connection_radius(C, rho, b).  All randomness is counter-based
 (see streams), so a trial is fully determined by
 (master_seed, trial_index) and is independent of evaluation order.
+`SampleParams` refuses a scaled support r * cutoff above 1/2 on either
+metric, the rule the theory keeps too.
 
 Pair enumeration uses a bucket grid with cell size >= r * cutoff and a
 3x3 neighborhood scan (wrapping on the torus), which is exhaustive
@@ -62,12 +64,7 @@ class SampleParams:
             raise ModelError(
                 f"model failed validation: {self.model.validation}"
             )
-        r = _models.connection_radius(self.model.C, self.rho, self.b)
-        if self.metric is Metric.TORUS and r * self.model.cutoff > 0.5:
-            raise ParameterError(
-                f"r * cutoff = {r * self.model.cutoff:.4g} exceeds half the torus period"
-            )
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _models.support_radius(self.model, self.rho, self.b))
 
 
 @dataclass(frozen=True)
@@ -182,30 +179,6 @@ def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> flo
     """
     r = _models.connection_radius(model.C, rho, b)
     return 0.5 * rho * rho * r * r * model.C_error
-
-
-def write_edge_list(sample: NetworkSample, fileobj) -> None:
-    """Dump `i j d` lines after a `n_points rho b model metric seed trial`
-    header; distances follow the sample's metric, floats at 17 digits."""
-    if hasattr(fileobj, "write"):
-        _write_edge_list(sample, fileobj)
-    else:
-        with open(fileobj, "w", encoding="utf-8", newline="\n") as fh:
-            _write_edge_list(sample, fh)
-
-
-def _write_edge_list(sample: NetworkSample, fh) -> None:
-    p = sample.params
-    fh.write(
-        f"{sample.n_points} {p.rho:.17g} {p.b:.17g} {p.model.kind} "
-        f"{p.metric.value} {p.master_seed} {p.trial_index}\n"
-    )
-    if sample.n_edges:
-        pa = sample.points[sample.edges[:, 0]]
-        pb = sample.points[sample.edges[:, 1]]
-        d = distance_arrays(p.metric, pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
-        for (i, j), dist in zip(sample.edges, d):
-            fh.write(f"{i} {j} {dist:.17g}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,16 @@ r = sqrt((log rho + b) / (C rho)):
   expected isolated nodes, torus:
       rho * exp(-rho * int_A g(|x|_T / r) dx)
       which is rho * exp(-rho r^2 C_t) (C_t the truncated radial mass, so
-      closed form with no error) while the scaled support r * cutoff fits
-      half the period.  Wider supports raise ParameterError, the rule the
-      sampler enforces on the torus.
+      closed form with no error).
   expected isolated nodes, square:
       rho * int_A exp(-rho * I(y)) dy with I(y) the kernel mass visible
-      from y.  While r * cutoff <= 1/2 the domain splits exactly into an
-      interior (constant integrand), four edge strips (1-D profile), and
-      four corners (2-D), all computed in scaled coordinates; wider
-      supports take one tensor rule over a quadrant of the cell.  Both
-      take I from one function, `_visible_mass`, for up to four clipping
-      lines: closed form (Owen's T for the Gaussian) but for the
-      log-normal's radial rule at the order of the enclosing rule.
-  pair correlation of isolation at separation d:
+      from y.  The domain splits exactly into an interior (constant
+      integrand), four edge strips (1-D profile), and four corners (2-D),
+      all computed in scaled coordinates.  I comes from one function,
+      `_visible_mass`, for two adjacent clipping lines: closed form
+      (Owen's T for the Gaussian) but for the log-normal's radial rule at
+      the order of the enclosing rule.
+  pair correlation of isolation at separation d, which b2 integrates:
       (1 - g(d/r)) * exp(rho * int g(|x|/r) g(|x - d|/r) dx), the cross
       mass int g g closed form for the unit disk, one angular panel over
       the lens of the cutoff discs for the Gaussian, else a 2-D rule.
@@ -29,6 +26,11 @@ r = sqrt((log rho + b) / (C rho)):
       (b1 + b2) * min(1, 1/lambda) + b3 * min(1, 1/sqrt(lambda)).
       b3 (the near-independence correction) is not evaluated here; callers
       pass 0, which makes the assembled bound optimistic by that term.
+
+Every quantity here, like the sampler, takes the scaled support
+r * cutoff to be at most 1/2 (`models.support_radius`) and raises
+ParameterError beyond it: the support then fits half the torus period,
+and no point of the square sees two opposite edges.
 
 Limits as rho -> infinity, for reference against the finite-rho numbers:
 mean isolated -> exp(-b), P(no isolated) -> exp(-exp(-b)), mean degree
@@ -61,7 +63,7 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError
 from .geometry import Metric
-from .models import ConnectionModel, connection_radius, table_pieces
+from .models import ConnectionModel, connection_radius, support_radius, table_pieces
 
 # rule orders tried in turn, until one agrees with the next to _REL_TOL
 _ORDERS = (8, 16, 32, 64)
@@ -77,26 +79,20 @@ _B2_REL_TOL = 1e-7
 _ERR_FLOOR = 128 * np.finfo(np.float64).eps
 # rows x nodes evaluated at once, which bounds the scratch memory
 _BLOCK = 1 << 15
-# adjacent pairs of the clipping lines (right, left, top, bottom), which
-# meet at the cell's corners
-_ADJACENT = ((0, 2), (2, 1), (1, 3), (3, 0))
 
 
 @dataclass(frozen=True)
 class TheoryReport:
     """One cell's theory: the isolated-node means of both metrics with their
     quadrature errors, next to the large-density limits.  expected_isolated
-    is the mean of the report's metric.  The torus fields are None, with
-    the reason in torus_error, when the scaled support r * cutoff exceeds
-    half the torus period."""
+    is the mean of the report's metric."""
 
     expected_isolated: float
     expected_isolated_square: float
     quad_error_square: float
-    expected_isolated_torus: float | None
-    quad_error_torus: float | None
-    boundary_excess: float | None
-    torus_error: str | None
+    expected_isolated_torus: float
+    quad_error_torus: float
+    boundary_excess: float
     asymptotic_mean: float
     prob_no_isolated: float
     mean_degree: float
@@ -106,7 +102,7 @@ class TheoryReport:
                      "expected_isolated_torus", "quad_error_torus", "boundary_excess",
                      "asymptotic_mean", "prob_no_isolated", "mean_degree"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0.0):
+            if not (math.isfinite(v) and v >= 0.0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {v}")
         # exp(-exp(-b)) rounds to exactly 0 or 1 at large |b|
         if self.prob_no_isolated > 1.0:
@@ -126,15 +122,6 @@ class ChenSteinParams:
             )
 
 
-def _require_scale(rho: float, b: float) -> float:
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ParameterError(f"density must be positive, got {rho}")
-    s = math.log(rho) + b
-    if s <= 0.0:
-        raise ParameterError(f"log rho + b must be positive, got {s:.6g}")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # expected isolated nodes
 
@@ -142,7 +129,6 @@ def _require_scale(rho: float, b: float) -> float:
 def expected_isolated(model: ConnectionModel, rho: float, b: float,
                       metric: Metric, *, return_error: bool = False):
     """Mean number of degree-zero nodes at finite density, by quadrature."""
-    _require_scale(rho, b)
     if metric is Metric.TORUS:
         value, err = _expected_isolated_torus(model, rho, b)
     elif metric is Metric.SQUARE:
@@ -157,23 +143,15 @@ def expected_isolated(model: ConnectionModel, rho: float, b: float,
 def theory_report(model: ConnectionModel, rho: float, b: float,
                   metric: Metric = Metric.TORUS) -> TheoryReport:
     """Both metrics' means, their boundary excess and the limits for one
-    cell; a torus report raises where the torus cannot hold the support."""
-    e_tor = err_tor = excess = torus_error = None
-    try:
-        e_tor, err_tor = expected_isolated(model, rho, b, Metric.TORUS, return_error=True)
-    except ParameterError as e:
-        if metric is Metric.TORUS:
-            raise
-        torus_error = str(e)
+    cell; ParameterError where the support r * cutoff exceeds 1/2."""
+    e_tor, err_tor = expected_isolated(model, rho, b, Metric.TORUS, return_error=True)
     e_sq, err_sq = expected_isolated(model, rho, b, Metric.SQUARE, return_error=True)
-    if e_tor is not None:
-        excess = max(0.0, e_sq - e_tor)
     mean = math.exp(-b)
     return TheoryReport(
         expected_isolated=e_tor if metric is Metric.TORUS else e_sq,
         expected_isolated_square=e_sq, quad_error_square=err_sq,
         expected_isolated_torus=e_tor, quad_error_torus=err_tor,
-        boundary_excess=excess, torus_error=torus_error,
+        boundary_excess=max(0.0, e_sq - e_tor),
         asymptotic_mean=mean,
         prob_no_isolated=math.exp(-mean),
         mean_degree=math.log(rho) + b,
@@ -190,19 +168,15 @@ def _truncated_mass(model: ConnectionModel) -> float:
 
 @lru_cache(maxsize=4096)
 def _expected_isolated_torus(model: ConnectionModel, rho: float, b: float):
-    r = connection_radius(model.C, rho, b)
-    if r * model.cutoff > 0.5:
-        raise ParameterError("scaled support exceeds half the torus period")
+    r = support_radius(model, rho, b)
     return rho * math.exp(-rho * r * r * _truncated_mass(model)), 0.0
 
 
 @lru_cache(maxsize=1024)
 def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
-    r = connection_radius(model.C, rho, b)
+    r = support_radius(model, rho, b)
     cutoff = model.cutoff
     reach = r * cutoff
-    if reach > 0.5:
-        return _expected_isolated_square_direct(model, rho, r)
     scale = rho * r * r
     interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * _truncated_mass(model))
     # exp(-scale K) falls fastest next to the boundary: the panels of the
@@ -215,7 +189,7 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     # add at most 4 r^2 (b - a) cutoff exp(-scale K(a, inf) / 2).  Strips
     # below 1e-12 of the interior, a lower bound on the value, are left out
     # and their bound goes to the error
-    edge = _visible_mass(model, (base[:-1], math.inf, math.inf, math.inf), _ORDERS[-1])
+    edge = _visible_mass(model, (base[:-1], math.inf), _ORDERS[-1])
     strip = 4.0 * r * r * np.diff(base) * cutoff * np.exp(-0.5 * scale * edge)
     skip = strip < 1e-3 * _REL_TOL * interior
 
@@ -228,38 +202,6 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     return float(value), err + rho * strip[skip].sum()
 
 
-def _expected_isolated_square_direct(model: ConnectionModel, rho: float, r: float):
-    """Square mean for supports wider than half the cell: a tensor rule
-    over the quadrant [0, 1/2]^2 of exp(-rho r^2 I(y)), with I the mass
-    visible inside all four edges.  Both coordinates break where a
-    clipping distance crosses a kink k of g (0, the knots, the cutoff),
-    at 1/2 - r k and r k - 1/2; each row of x also breaks y where a corner
-    overlap sets in, at hypot(1/2 +- x, 1/2 +- y) = r k."""
-    k = r * np.array((0.0, *_kinks(model)))
-    base = np.unique(np.clip([0.0, 0.5, *(0.5 - k), *(k - 0.5)], 0.0, 0.5))
-    scale = rho * r * r
-
-    def total(n: int) -> float:
-        x, wx = _panels(base, n)
-        out = 0.0
-        # y nodes per row, times a value per table piece at every node
-        step = max(1, _BLOCK // ((base.size + 2 * k.size) * n * k.size))
-        for lo in range(0, x.size, step):
-            xs = x[lo:lo + step, None]
-            side = np.hstack([0.5 - xs, 0.5 + xs])[..., None]
-            # the arc meets the top edge clip at y = 1/2 - s, the bottom at s - 1/2
-            arc = np.sqrt(np.maximum(k * k - side * side, 0.0)).reshape(xs.size, -1)
-            breaks = np.hstack([np.broadcast_to(base, (xs.size, base.size)), np.abs(0.5 - arc)])
-            y, wy = _panels(np.sort(np.minimum(breaks, 0.5), axis=1), n)
-            mass = _visible_mass(model, ((0.5 - xs) / r, (0.5 + xs) / r,
-                                         (0.5 - y) / r, (0.5 + y) / r), n)
-            out += wx[lo:lo + step] @ np.sum(wy * np.exp(-scale * mass), axis=1)
-        return 4.0 * rho * out
-
-    value, err = _converged(total, "square-metric isolated mean")
-    return float(value), err
-
-
 def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
                         scale: float, corner: np.ndarray) -> tuple[float, float]:
     """Integrals of exp(-scale K) over the edge profile, d in [0, cutoff],
@@ -268,7 +210,7 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     breaks `base` at rule order n; the corner takes only the panels of d1
     where `corner` is true."""
     d, w = _panels(base, n)
-    edge = _visible_mass(model, (d, math.inf, math.inf, math.inf), n)
+    edge = _visible_mass(model, (d, math.inf), n)
     live = np.flatnonzero(np.repeat(corner, n))
     # the corner overlap sets in on the arc hypot(d1, d2) = cutoff with a
     # (cutoff - h)^(3/2) kink weighted by g(cutoff): 1 for the unit disk,
@@ -283,99 +225,92 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     for lo in range(0, live.size, step):
         rows = live[lo:lo + step]
         kept = np.where(panel == crossed[rows, None], 0.0, w)
-        mass = _visible_mass(model, (d[rows, None], math.inf, d, math.inf), n)
-        split = _visible_mass(model, (d[rows, None], math.inf, split_d[rows], math.inf), n)
+        mass = _visible_mass(model, (d[rows, None], d), n)
+        split = _visible_mass(model, (d[rows, None], split_d[rows]), n)
         q_corner += w[rows] @ (np.sum(kept * np.exp(-scale * mass), axis=1)
                                + np.sum(split_w[rows] * np.exp(-scale * split), axis=1))
     return w @ np.exp(-scale * edge), q_corner
 
 
 def _visible_mass(model: ConnectionModel, deltas, n: int):
-    """Kernel mass visible inside up to four clipping half-planes at scaled
-    distances `deltas` (right, left, top, bottom; inf for no clip; arrays
-    that broadcast together): the full mass, less what lies beyond each
-    line, plus what lies beyond two adjacent lines, which both of them took
-    (triple overlaps cannot occur for a center inside the cell).  Closed
-    form but for the log-normal, which takes the radial rule at order n."""
+    """Kernel mass visible inside two adjacent clipping half-planes at
+    scaled distances `deltas` = (d1, d2) (inf for no clip; arrays that
+    broadcast together): the full mass, less what lies beyond each line,
+    plus what lies beyond both, which each of them took.  With r * cutoff
+    <= 1/2 a point of the square meets no other clips.  Closed form but
+    for the log-normal, which takes the radial rule at order n."""
+    d1, d2 = deltas
     if model.kind == "unit_disk":
-        return (math.pi - sum(_disk_cap(x) for x in deltas)
-                + sum(_disk_corner(deltas[i], deltas[j]) for i, j in _ADJACENT))
+        return math.pi - (_disk_cap(d1) + _disk_cap(d2)) + _disk_corner(d1, d2)
     if model.kind == "gaussian":
-        return _visible_mass_gaussian(model, deltas)
+        return _visible_mass_gaussian(model, d1, d2)
     if model.kind == "table":
-        return _visible_mass_table(model, deltas)
+        return _visible_mass_table(model, d1, d2)
     return _visible_mass_rule(model, deltas, n)
 
 
-def _visible_mass_gaussian(model: ConnectionModel, deltas) -> np.ndarray:
+def _visible_mass_gaussian(model: ConnectionModel, d1, d2) -> np.ndarray:
     """`_visible_mass` of the Gaussian e^{-u^2} cut at c, eps = e^{-c^2}.
     By parts through Owen's T, the mass beyond a clip at delta < c is
     2 A(delta), A = pi T(sqrt(2) delta, sqrt(c^2 - delta^2) / delta) -
-    eps arccos(delta / c) / 2; a pair with hypot(d1, d2) < c overlaps by
+    eps arccos(delta / c) / 2; the pair with hypot(d1, d2) < c overlaps by
     A(d1) + A(d2) + pi eps / 4 - pi [T(sqrt(2) d1, d2 / d1) + (1 <-> 2)],
     where the bracket is (Q1 + Q2) / 2 - Q1 Q2 with Q = erfc(d) / 2."""
     from scipy import special
 
     c = model.cutoff
     eps = math.exp(-c * c)
-    d = [np.minimum(x, c) for x in deltas]
+    d1, d2 = np.minimum(d1, c), np.minimum(d2, c)
     with np.errstate(divide="ignore"):
-        beyond = [math.pi * special.owens_t(math.sqrt(2.0) * x, np.sqrt(c * c - x * x) / x)
-                  - 0.5 * eps * np.arccos(x / c) for x in d]
-    q = [0.5 * special.erfc(x) for x in d]
-    out = _truncated_mass(model) - 2.0 * sum(beyond)
-    for i, j in _ADJACENT:
-        pair = (beyond[i] + beyond[j] + 0.25 * math.pi * eps
-                - math.pi * (0.5 * (q[i] + q[j]) - q[i] * q[j]))
-        out = out + np.where(np.hypot(d[i], d[j]) < c, pair, 0.0)
-    return out
+        a1, a2 = (math.pi * special.owens_t(math.sqrt(2.0) * x, np.sqrt(c * c - x * x) / x)
+                  - 0.5 * eps * np.arccos(x / c) for x in (d1, d2))
+    q1, q2 = 0.5 * special.erfc(d1), 0.5 * special.erfc(d2)
+    pair = a1 + a2 + 0.25 * math.pi * eps - math.pi * (0.5 * (q1 + q2) - q1 * q2)
+    return (_truncated_mass(model) - 2.0 * (a1 + a2)
+            + np.where(np.hypot(d1, d2) < c, pair, 0.0))
 
 
 def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
     """`_visible_mass` as int_0^cutoff u g(u) theta(u) du, where theta(u) is
     the angular measure of the circle of scaled radius u that stays inside
     the clipping half-planes at `deltas`.  Panels break at each clipping
-    distance, at the onset hypot(d_i, d_j) of each adjacent overlap, at the
-    kinks of g and at cutoff / 8, / 4, / 2, so that no one panel spans the
-    whole profile.
+    distance, at the onset hypot(d1, d2) of the overlap, at the kinks of g
+    and at cutoff / 8, / 4, / 2, so that no one panel spans the whole
+    profile.
     """
     cutoff = model.cutoff
     deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
     shape = np.broadcast_shapes(*(x.shape for x in deltas))
-    # clips and overlaps that never reach into the support change nothing
-    clips = [i for i in range(4) if np.any(deltas[i] < cutoff)]
-    overlaps = [(i, j) for i, j in _ADJACENT
-                if np.any(np.hypot(deltas[i], deltas[j]) < cutoff)]
-    d = {i: np.broadcast_to(deltas[i], shape).ravel()[:, None] for i in clips}
+    # clips and an overlap that never reach into the support change nothing
+    clips = [np.broadcast_to(x, shape).ravel()[:, None] for x in deltas
+             if np.any(x < cutoff)]
+    overlap = bool(np.any(np.hypot(*deltas) < cutoff))
     fixed = (0.0, *_radial_breaks(model))
     out = np.empty(math.prod(shape))
-    step = max(1, _BLOCK // ((len(d) + len(overlaps) + len(fixed) - 1) * n))
+    step = max(1, _BLOCK // ((len(clips) + overlap + len(fixed) - 1) * n))
     for lo in range(0, out.size, step):
-        blk = {i: x[lo:lo + step] for i, x in d.items()}
+        blk = [x[lo:lo + step] for x in clips]
         rows = min(step, out.size - lo)
-        breaks = np.hstack([*blk.values(), *(np.hypot(blk[i], blk[j])
-                                             for i, j in overlaps), np.tile(fixed, (rows, 1))])
+        onset = [np.hypot(*blk)] if overlap else []
+        breaks = np.hstack([*blk, *onset, np.tile(fixed, (rows, 1))])
         u, w = _panels(np.sort(np.minimum(breaks, cutoff), axis=1), n)
         # half-angle of the arc beyond each clipping line
-        a = {i: np.arccos(np.divide(x, u, out=np.ones_like(u), where=u > x))
-             for i, x in blk.items()}
-        theta = 2.0 * math.pi - 2.0 * sum(a.values())
-        for i, j in overlaps:
-            theta = theta + np.maximum(0.0, a[i] + a[j] - 0.5 * math.pi)
+        a = [np.arccos(np.divide(x, u, out=np.ones_like(u), where=u > x)) for x in blk]
+        theta = 2.0 * math.pi - 2.0 * sum(a)
+        if overlap:
+            theta = theta + np.maximum(0.0, a[0] + a[1] - 0.5 * math.pi)
         out[lo:lo + step] = np.sum(w * u * model.g(u) * theta, axis=1)
     return out.reshape(shape)
 
 
-def _visible_mass_table(model: ConnectionModel, deltas) -> np.ndarray:
+def _visible_mass_table(model: ConnectionModel, d1, d2) -> np.ndarray:
     """`_visible_mass` of a table in closed form: the full mass, less the
-    arcs beyond each clipping line, plus each adjacent overlap."""
-    deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
+    arcs beyond each clipping line, plus their overlap."""
+    d1, d2 = np.asarray(d1, dtype=np.float64), np.asarray(d2, dtype=np.float64)
     zero = _arc_suffix(model, 0.0)
-    arcs = [_arc_suffix(model, x) for x in deltas]
-    out = 4.0 * zero[0] - 2.0 * sum(a[..., 0] for a in arcs)
-    for i, j in _ADJACENT:
-        out = out + _arc_overlap(model, zero, arcs[i], deltas[i], arcs[j], deltas[j])
-    return out
+    arcs1, arcs2 = _arc_suffix(model, d1), _arc_suffix(model, d2)
+    return (4.0 * zero[0] - 2.0 * (arcs1[..., 0] + arcs2[..., 0])
+            + _arc_overlap(model, zero, arcs1, d1, arcs2, d2))
 
 
 def _arc_overlap(model: ConnectionModel, zero, arcs1, delta1, arcs2, delta2):
@@ -502,25 +437,7 @@ def _converged(rule, what: str, rel_tol: float = _REL_TOL):
 
 
 # ---------------------------------------------------------------------------
-# pair correlation and dependence bounds
-
-
-def pair_correlation_factor(model: ConnectionModel, rho: float, b: float,
-                            d: float) -> float:
-    """Joint-isolation correction for two nodes at separation d:
-    (1 - g(d/r)) * exp(rho * cross mass of the two kernels).
-
-    Above 1 the pair is more likely jointly isolated than independence
-    suggests; exactly 0 within the hard support of a unit disk; within
-    float noise of 1 once the supports no longer overlap.
-    """
-    if d < 0.0:
-        raise ParameterError(f"separation must be >= 0, got {d}")
-    _require_scale(rho, b)
-    r = connection_radius(model.C, rho, b)
-    s = d / r
-    cross = float(_cross_mass(model, s))
-    return (1.0 - float(model.g(s))) * math.exp(rho * r * r * cross)
+# cross mass and dependence bounds
 
 
 def _cross_mass(model: ConnectionModel, s) -> np.ndarray:
@@ -599,11 +516,10 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
                 params: ChenSteinParams) -> tuple[float, float, float]:
     """(b1, b2, b2's quadrature error), one cache entry for both forms of
     `chen_stein_terms`."""
-    scale_log = _require_scale(rho, b)
     eps = params.epsilon
-    r = connection_radius(model.C, rho, b)
     e_tor, _ = _expected_isolated_torus(model, rho, b)
-    r2 = scale_log / (model.C * rho)
+    r = connection_radius(model.C, rho, b)
+    r2 = (math.log(rho) + b) / (model.C * rho)
     b1 = 4.0 * math.pi * e_tor * e_tor * r2 ** (1.0 - eps)
 
     s_max = 2.0 * r ** (-eps)

@@ -16,8 +16,19 @@ from collections import deque
 import numpy as np
 
 from rcmsim import streams
-from rcmsim.geometry import Metric, Point2, distance
-from rcmsim.models import eval_g
+from rcmsim.geometry import Metric
+
+
+def scalar_distance(metric, p, q):
+    """Distance between the (x, y) tuples p and q: Euclidean on the square,
+    and on the torus the minimum over the nine integer translates of q - p,
+    which is exhaustive for points inside one unit cell."""
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    if metric is Metric.SQUARE:
+        return math.hypot(dx, dy)
+    return min(math.hypot(dx + ox, dy + oy) for ox in (-1.0, 0.0, 1.0)
+               for oy in (-1.0, 0.0, 1.0))
 
 
 def brute_force_edges(params, points):
@@ -32,11 +43,11 @@ def brute_force_edges(params, points):
                              streams.TAG_EDGES)
     edges = []
     for i in range(n):
-        p = Point2(float(points[i][0]), float(points[i][1]))
+        p = (float(points[i][0]), float(points[i][1]))
         for j in range(i + 1, n):
-            q = Point2(float(points[j][0]), float(points[j][1]))
-            d = distance(params.metric, p, q)
-            prob = eval_g(params.model, d / params.r)
+            q = (float(points[j][0]), float(points[j][1]))
+            d = scalar_distance(params.metric, p, q)
+            prob = float(params.model.g(d / params.r))
             if prob > 0.0 and streams.pair_uniform(key, i, j) < prob:
                 edges.append((i, j))
     return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
@@ -88,9 +99,11 @@ def mc_disk_mass(model, r, n_samples, seed, chunk=10_000_000):
 
 def square_mean_dblquad(model, rho, r):
     """Square-metric isolated-node mean by adaptive dblquad of
-    exp(-rho r^2 I(y)) over one quadrant, I the kernel mass visible inside
-    all four edges.  I comes from the program's `_visible_mass` at the
-    first order that agrees with the next (checked on its own by
+    exp(-rho r^2 I(y)) over the quadrant [0, 1/2]^2, I the kernel mass
+    visible inside the right and top edges: with r * cutoff <= 1/2 the left
+    and bottom edges lie at least cutoff away in scaled units, so they clip
+    nothing.  I comes from the program's `_visible_mass` at the first
+    order that agrees with the next (checked on its own by
     `mc_visible_mass`), so this checks the 2-D integration alone.  Returns
     (estimate, 4 rho x dblquad's error)."""
     from scipy import integrate
@@ -98,7 +111,7 @@ def square_mean_dblquad(model, rho, r):
     from rcmsim.theory import _converged, _visible_mass
 
     def f(y, x):
-        deltas = ((0.5 - x) / r, (0.5 + x) / r, (0.5 - y) / r, (0.5 + y) / r)
+        deltas = ((0.5 - x) / r, (0.5 - y) / r)
         mass, _ = _converged(lambda n: _visible_mass(model, deltas, n), "visible mass")
         return math.exp(-rho * r * r * float(mass))
 
@@ -126,21 +139,22 @@ def quad_radial_C(model):
 
 
 def mc_visible_mass(model, deltas, n_samples, seed):
-    """MC of the kernel mass visible inside up to four clipping half-planes.
+    """MC of the kernel mass visible inside two adjacent clipping
+    half-planes, x <= d_r and y <= d_t for deltas = (d_r, d_t).
 
     Samples the support disk uniformly and applies the box constraints as
     indicators, so the angular-overlap bookkeeping in the quadrature path
     is checked against plain rejection counting.
     Returns (estimate, standard error).
     """
-    d_r, d_l, d_t, d_b = deltas
+    d_r, d_t = deltas
     cutoff = model.cutoff
     rng = np.random.default_rng(seed)
     rad = cutoff * np.sqrt(rng.random(n_samples))
     phi = 2.0 * math.pi * rng.random(n_samples)
     x = rad * np.cos(phi)
     y = rad * np.sin(phi)
-    keep = (x <= d_r) & (-x <= d_l) & (y <= d_t) & (-y <= d_b)
+    keep = (x <= d_r) & (y <= d_t)
     vals = model.g(rad) * keep
     area = math.pi * cutoff * cutoff
     mean = float(vals.mean())

@@ -1,0 +1,60 @@
+"""The public surface: `rcmsim.__all__` and the names the benchmark uses.
+
+The benchmark harness under bench/ imports rcmsim but is not part of this
+suite, so removing a name it uses would break it unseen; this file pins
+the surface and checks the harness against it.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import rcmsim
+from rcmsim import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+PUBLIC = [
+    "ChenSteinParams", "ConfigError", "ConnectionModel", "CoupledSample", "Metric",
+    "ModelError", "ModelValidationReport", "NetworkSample", "ParameterError",
+    "QuadratureError", "RcmError", "SampleParams", "TheoryReport", "TrialRecord",
+    "build_graph", "chen_stein_terms", "chen_stein_tv_bound", "components",
+    "connection_radius", "couple_torus_to_square", "coupled_statistics",
+    "distance_arrays", "expected_isolated", "gaussian", "isolated_count",
+    "load_table", "log_normal", "sample_points", "table_model", "theory_report",
+    "trial_statistics", "truncation_bias", "tv_to_poisson", "unit_disk",
+    "validate_model",
+]
+
+
+def _used(path: Path, module: str) -> set[str]:
+    """Names a source file takes from `module`: `from module import x` and
+    `module.x` (dunders aside)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            used.update(a.name for a in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == module.rpartition(".")[2]
+              and not node.attr.startswith("__")):
+            used.add(node.attr)
+    return used
+
+
+def test_public_names_are_pinned():
+    assert sorted(rcmsim.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(rcmsim, name) is not None, name
+
+
+def test_benchmark_uses_only_public_names():
+    for name in ("tracing.py", "checks.py"):
+        for used in _used(BENCH / name, "rcmsim"):
+            # a submodule such as cli is imported, not exported
+            assert used in PUBLIC or importlib.util.find_spec(f"rcmsim.{used}"), (name, used)
+
+
+def test_benchmark_cli_names_resolve():
+    for path in sorted(BENCH.glob("*.py")):
+        for used in _used(path, "rcmsim.cli"):
+            assert hasattr(cli, used), (path.name, used)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rcmsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK,
                         main, parse_config, parse_trials_csv, run_campaign,
                         summary_path, write_outputs)
 from rcmsim.errors import ConfigError, ModelError, ParameterError
+from test_theory import DENSE
 
 
 def _doc(tmp_path, **over):
@@ -164,16 +166,14 @@ def test_campaign_skips_impossible_cell(tmp_path):
 
 
 def test_campaign_skips_square_cell_wider_than_half(tmp_path):
-    # r * cutoff = 0.52: the campaign skips the cell on every metric and
-    # points to the subcommand that still gives its square mean
+    # r * cutoff = 0.52: the sampler and the theory refuse the cell on
+    # every metric, so the campaign skips it with their reason
     cfg = parse_config(_doc(tmp_path, metric="square", rho_list=[2.0, 120.0],
                             b_list=[1.0], trials=3))
     summary, rows, warnings = run_campaign(cfg)
     assert len(rows) == 3
     skipped = summary.cells[0]
-    assert skipped.skipped and skipped.reason == (
-        "r * cutoff = 0.5191 exceeds 1/2, which a campaign cannot run; "
-        "`rcmsim theory` still gives the square mean")
+    assert skipped.skipped and skipped.reason == "r * cutoff = 0.5191 exceeds 1/2"
     assert warnings == [f"cell rho=2 b=1 skipped: {skipped.reason}"]
 
 
@@ -466,16 +466,24 @@ def test_theory_subcommand_reports_bound_failure(tmp_path, capsys):
     assert "chen_stein_error" in doc
 
 
-def test_theory_subcommand_reports_torus_failure(capsys):
-    # r * cutoff = 0.90: the torus refuses the support, the square does not
-    assert main(["theory", "--model", "gaussian", "--rho", "40",
-                 "--b", "0"]) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["expected_isolated_torus"] is None
-    assert doc["quad_error_torus"] is None and doc["boundary_excess"] is None
-    assert "half the torus period" in doc["torus_error"]
-    assert doc["expected_isolated_square"] > 0.0
-    assert 0.0 <= doc["quad_error_square"] <= 1e-9 * doc["expected_isolated_square"]
+@pytest.mark.parametrize("spec, rho", [
+    ("gaussian", 40.0),
+    ({"kind": "log_normal", "sigma_db": 4.0, "eta": 3.0}, 400.0),
+    ({"kind": "table", "knots": [list(k) for k in zip(DENSE.radii, DENSE.values)]}, 10.0),
+], ids=["gaussian", "log-normal", "dense-table"])
+def test_theory_subcommand_refuses_wide_support(tmp_path, capsys, spec, rho):
+    # r * cutoff = 0.90, 0.55 and 0.73: a parameter error, raised before
+    # any quadrature (the square mean of the last two once failed to
+    # converge or took 27 s)
+    if isinstance(spec, dict):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    t0 = time.perf_counter()
+    assert main(["theory", "--model", spec, "--rho", str(rho), "--b", "0"]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    assert "exceeds 1/2" in out.err and not out.out
 
 
 def test_package_imports_no_adaptive_quadrature(tmp_path):

@@ -3,9 +3,9 @@
 Small fixed campaigns over {torus, square, coupled} x {unit disk, Gaussian,
 table} run through `run_campaign`, and the sha256 of each trial table, in
 both CSV and JSON, must match the digest recorded here.  Any change to
-point sampling, pair enumeration, edge realization, thinning, component
-counting or serialization that moves a single byte of a trial table fails
-this test.
+point sampling, pair enumeration, edge realization, the coupling (the
+torus edges that do not wrap), component counting or serialization that
+moves a single byte of a trial table fails this test.
 
 The cell summaries are not pinned: their theory columns are quadrature
 values that may move within their error estimates, and computing them for

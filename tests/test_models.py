@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from rcmsim.errors import ModelError, ParameterError
-from rcmsim.models import (TRUNCATION_EPS, connection_radius, eval_g, gaussian,
-                           load_table, log_normal, table_model, unit_disk,
-                           validate_model)
+from rcmsim.models import (TRUNCATION_EPS, connection_radius, gaussian, load_table,
+                           log_normal, table_model, unit_disk, validate_model)
 from rcmsim.sampler import truncation_bias
 from oracles import mc_log_normal_C, quad_radial_C
 from test_theory import DENSE, TABLE3, TABLE5
@@ -22,9 +21,9 @@ def test_unit_disk_basics():
     m = unit_disk()
     assert m.C == math.pi
     assert m.cutoff == 1.0
-    assert eval_g(m, 0.0) == 1.0
-    assert eval_g(m, 1.0) == 1.0  # closed support boundary
-    assert eval_g(m, 1.0 + 1e-12) == 0.0
+    assert m.g(0.0) == 1.0
+    assert m.g(1.0) == 1.0  # closed support boundary
+    assert m.g(1.0 + 1e-12) == 0.0
     assert m.validation.ok
 
 
@@ -34,8 +33,8 @@ def test_gaussian_basics():
     # cutoff solves e^{-x^2} = eps
     assert m.cutoff == pytest.approx(math.sqrt(-math.log(TRUNCATION_EPS)),
                                      rel=1e-9)
-    assert eval_g(m, 1.3) == pytest.approx(math.exp(-1.69), rel=1e-12)
-    assert eval_g(m, m.cutoff * 1.001) == 0.0
+    assert m.g(1.3) == pytest.approx(math.exp(-1.69), rel=1e-12)
+    assert m.g(m.cutoff * 1.001) == 0.0
     assert m.C_error == pytest.approx(math.pi * TRUNCATION_EPS, rel=1e-6)
     assert m.validation.ok
 
@@ -71,8 +70,8 @@ def test_log_normal_value_at_unity():
     # Q(0) = 1/2 regardless of parameters
     for sigma, eta in ((4.0, 2.0), (8.0, 3.0), (2.0, 6.0)):
         m = log_normal(sigma, eta)
-        assert eval_g(m, 1.0) == pytest.approx(0.5, abs=1e-12)
-        assert eval_g(m, 0.0) == 1.0
+        assert m.g(1.0) == pytest.approx(0.5, abs=1e-12)
+        assert m.g(0.0) == 1.0
         assert m.validation.ok
 
 
@@ -88,7 +87,7 @@ def test_log_normal_cutoff_is_first_eps_crossing():
     m = log_normal(4.0, 2.0)
     assert float(m.g_raw(m.cutoff)) <= TRUNCATION_EPS
     assert float(m.g_raw(m.cutoff * 0.98)) > TRUNCATION_EPS
-    assert eval_g(m, m.cutoff * 1.01) == 0.0
+    assert m.g(m.cutoff * 1.01) == 0.0
 
 
 def test_truncation_epsilon_is_configurable():
@@ -107,11 +106,6 @@ def test_tail_integral_zero_for_self_truncated():
     table = table_model([(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
     assert table.C_error == truncation_bias(table, 1e3, 0.0) == 0.0
     assert gaussian().C_error == pytest.approx(math.pi * TRUNCATION_EPS, rel=1e-6)
-
-
-def test_eval_g_rejects_negative():
-    with pytest.raises(ParameterError):
-        eval_g(unit_disk(), -0.1)
 
 
 def test_connection_radius():
@@ -133,17 +127,17 @@ def test_connection_radius():
 
 def test_table_interpolation_and_clamping():
     m = table_model([(0.0, 1.0), (1.0, 0.8), (2.0, 0.2), (3.0, 0.0)])
-    assert eval_g(m, 0.5) == pytest.approx(0.9, abs=1e-15)
-    assert eval_g(m, 1.5) == pytest.approx(0.5, abs=1e-15)
-    assert eval_g(m, 5.0) == 0.0
+    assert m.g(0.5) == pytest.approx(0.9, abs=1e-15)
+    assert m.g(1.5) == pytest.approx(0.5, abs=1e-15)
+    assert m.g(5.0) == 0.0
     assert m.cutoff <= 3.0
     assert m.validation.ok
 
 
 def test_table_clamps_below_first_knot():
     m = table_model([(0.5, 0.9), (2.0, 0.0)])
-    assert eval_g(m, 0.0) == pytest.approx(0.9, abs=1e-15)
-    assert eval_g(m, 0.25) == pytest.approx(0.9, abs=1e-15)
+    assert m.g(0.0) == pytest.approx(0.9, abs=1e-15)
+    assert m.g(0.25) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_table_cutoff_at_first_eps_crossing():
@@ -191,7 +185,7 @@ def test_load_table_round_trip(tmp_path):
     )
     m = load_table(path)
     assert m.radii == (0.0, 0.7, 1.9)
-    assert eval_g(m, 0.35) == pytest.approx(0.81, abs=1e-15)
+    assert m.g(0.35) == pytest.approx(0.81, abs=1e-15)
 
     bad = tmp_path / "bad.txt"
     bad.write_text("0.0 1.0 7\n")

@@ -1,6 +1,5 @@
 """Point sampling, edge realization, determinism, and the metric coupling."""
 
-import io
 import math
 import tracemalloc
 
@@ -10,10 +9,10 @@ import pytest
 from rcmsim import sampler
 from rcmsim.errors import ModelError, ParameterError
 from rcmsim.geometry import Metric, distance_arrays
-from rcmsim.models import (connection_radius, eval_g, gaussian, log_normal,
-                           table_model, unit_disk)
+from rcmsim.models import (connection_radius, gaussian, log_normal, table_model,
+                           unit_disk)
 from rcmsim.sampler import (SampleParams, build_graph, couple_torus_to_square,
-                            sample_points, truncation_bias, write_edge_list)
+                            sample_points, truncation_bias)
 from oracles import brute_force_edges
 
 UD = unit_disk()
@@ -40,9 +39,10 @@ def test_params_reject_bad_scale():
 
 
 def test_params_reject_wide_torus_range():
-    # r > 1/2 cannot be embedded on the unit torus
-    with pytest.raises(ParameterError):
-        _params(1.2, 1.0, metric=Metric.TORUS)
+    # r * cutoff = 0.56: one support rule on both metrics
+    for metric in Metric:
+        with pytest.raises(ParameterError, match="exceeds 1/2"):
+            _params(1.2, 1.0, metric=metric)
 
 
 def test_params_reject_invalid_model():
@@ -88,8 +88,6 @@ def test_grid_matches_brute_force_across_models_and_metrics():
             p = SampleParams(rho, b, model, metric, 7000 + case, case)
         except ParameterError:
             continue  # wide range at tiny rho: rejected, fine
-        if p.r * model.cutoff > 0.5:
-            continue
         pts = sample_points(p)
         if pts.shape[0] > 300:
             continue
@@ -167,23 +165,12 @@ def test_build_graph_memory_is_bounded():
     assert peak < 200e6
 
 
-def test_wide_square_range_matches_exact():
-    # r * cutoff = 0.56: the grid falls back to one cell, as exact=True forces
-    p = SampleParams(1.2, 1.0, UD, Metric.SQUARE, 1, 0)
-    assert p.r * UD.cutoff > 0.5
-    # (0, 3) are 0.55 apart, within range but more than half the cell
-    pts = np.array([[0.3, 0.3], [-0.3, -0.3], [0.1, -0.4], [-0.25, 0.3]])
-    s = build_graph(p, pts)
-    assert s.edges.tolist() == [[0, 3], [1, 2]]
-    assert np.array_equal(s.edges, build_graph(p, pts, exact=True).edges)
-
-
 def test_edge_probability_frequency():
     # one pair at fixed separation: empirical connection rate ~ g(d / r)
     p0 = _params(300.0, 0.0, model=GAUSS)
     d = 1.3 * p0.r
     pts = np.array([[-d / 2.0, 0.0], [d / 2.0, 0.0]])
-    want = eval_g(GAUSS, 1.3)
+    want = float(GAUSS.g(1.3))
     hits = 0
     trials = 30_000
     for t in range(trials):
@@ -312,7 +299,7 @@ def test_coupled_square_edges_equal_direct_square_build():
                         assert np.array_equal(d_sq, distance_arrays(Metric.TORUS, *args))
 
 
-# --- truncation bias and persistence ---
+# --- truncation bias ---
 
 
 def test_truncation_bias_gaussian_closed_form():
@@ -322,20 +309,3 @@ def test_truncation_bias_gaussian_closed_form():
     assert truncation_bias(GAUSS, rho, b) == pytest.approx(want, rel=1e-6)
     assert truncation_bias(UD, rho, b) == 0.0
 
-
-def test_write_edge_list_round_trip():
-    p = _params(200.0, 0.0, seed=21)
-    s = build_graph(p, sample_points(p))
-    buf = io.StringIO()
-    write_edge_list(s, buf)
-    lines = buf.getvalue().splitlines()
-    head = lines[0].split()
-    assert head[0] == str(s.n_points)
-    assert head[3] == "unit_disk" and head[4] == "torus"
-    body = [ln.split() for ln in lines[1:]]
-    assert len(body) == s.n_edges
-    from rcmsim.geometry import Point2, distance
-    for i_s, j_s, d_s in body[:50]:
-        i, j = int(i_s), int(j_s)
-        d = distance(p.metric, Point2(*s.points[i]), Point2(*s.points[j]))
-        assert float(d_s) == pytest.approx(d, rel=1e-15)

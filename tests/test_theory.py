@@ -8,11 +8,9 @@ share nothing with the quadrature code they validate.
 import dataclasses
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from rcmsim import theory
 from rcmsim.errors import ParameterError, QuadratureError
@@ -20,8 +18,8 @@ from rcmsim.geometry import Metric
 from rcmsim.models import (connection_radius, gaussian, log_normal,
                            table_model, unit_disk)
 from rcmsim.theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
-                           chen_stein_tv_bound, expected_isolated,
-                           pair_correlation_factor, theory_report, tv_to_poisson)
+                           chen_stein_tv_bound, expected_isolated, theory_report,
+                           tv_to_poisson)
 from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
                      mc_cross_mass, mc_disk_mass, mc_lens_area, mc_visible_mass,
                      poisson_pmf_factorial, square_mean_dblquad,
@@ -172,21 +170,19 @@ def _converged_rule(model, deltas):
 def test_visible_mass_generic_vs_mc():
     inf = math.inf
     cases = [
-        (UD, (0.3, inf, 0.5, inf)),
-        (UD, (0.15, inf, 0.2, inf)),  # adjacent clips overlap near u = 1
-        (UD, (0.3, 0.6, 0.5, inf)),  # opposite clips: support wider than the cell
-        (UD, (0.2, 0.35, 0.25, 0.4)),
-        (GAUSS, (0.5, 4.0, 1.2, 3.0)),
-        (GAUSS, (2.0, inf, inf, inf)),
+        (UD, (0.3, 0.5)),
+        (UD, (0.15, 0.2)),  # adjacent clips overlap near u = 1
+        (GAUSS, (0.5, 1.2)),
+        (GAUSS, (2.0, inf)),
         # eps 0.1: the truncation moves the mass far beyond the MC noise
-        (gaussian(cutoff_eps=0.1), (0.4, inf, 0.6, inf)),
-        (gaussian(cutoff_eps=0.1), (0.3, 0.9, 0.2, 1.1)),
-        (log_normal(4.0, 3.0), (0.4, inf, 1.5, inf)),
-        (log_normal(4.0, 3.0), (2.0, 6.0, 0.3, 7.5)),
-        (TABLE3, (1.0, inf, 0.6, inf)),  # clip exactly on the knot at 1
-        (TABLE3, (0.3, 1.7, 1.2, inf)),
-        (DENSE, (float(DENSE_RADII[20]), inf, 0.35, inf)),  # on a knot
-        (DENSE, (0.05, 1.3, 0.8, 2.4)),
+        (gaussian(cutoff_eps=0.1), (0.4, 0.6)),
+        (gaussian(cutoff_eps=0.1), (0.3, 0.2)),
+        (log_normal(4.0, 3.0), (0.4, 1.5)),
+        (log_normal(4.0, 3.0), (2.0, 0.3)),
+        (TABLE3, (1.0, 0.6)),  # clip exactly on the knot at 1
+        (TABLE3, (0.3, 1.2)),
+        (DENSE, (float(DENSE_RADII[20]), 0.35)),  # on a knot
+        (DENSE, (0.05, 0.8)),
     ]
     for i, (model, deltas) in enumerate(cases):
         got, _ = theory._converged(lambda n: theory._visible_mass(model, deltas, n),
@@ -200,8 +196,7 @@ def test_table_visible_mass_closed_form_matches_rule(model):
     # the piecewise closed form against the radial Gauss rule, which
     # breaks its panels at every knot
     inf = math.inf
-    for deltas in ((0.2, inf, inf, inf), (1.0, inf, 0.6, inf),
-                   (0.45, 0.7, 0.3, 1.9), (0.0, inf, 0.0, inf)):
+    for deltas in ((0.2, inf), (1.0, 0.6), (0.45, 0.3), (0.0, 0.0)):
         assert theory._visible_mass(model, deltas, 8) == pytest.approx(
             _converged_rule(model, deltas), rel=1e-12, abs=1e-14), deltas
 
@@ -210,13 +205,12 @@ def test_table_visible_mass_closed_form_matches_rule(model):
                                    gaussian(cutoff_eps=0.1)])
 def test_gaussian_visible_mass_closed_form_matches_rule(model):
     # the Owen's T form against the radial Gauss rule: a clip at 0, a clip
-    # on the cutoff, adjacent clips on both sides of the overlap's onset,
-    # opposite clips, and a corner grid broadcast as the edge layer uses it
+    # on the cutoff, clip pairs on both sides of the overlap's onset, and a
+    # corner grid broadcast as the edge layer uses it
     inf, c = math.inf, model.cutoff
     grid = np.linspace(0.0, c, 7)
-    for deltas in ((0.0, inf, inf, inf), (c, inf, 0.3, inf), (0.0, inf, 0.0, inf),
-                   (0.6 * c, inf, 0.79 * c, inf), (0.3, 0.5, inf, inf),
-                   (0.45, 0.7, 0.3, 1.9), (grid[:, None], inf, grid, inf)):
+    for deltas in ((0.0, inf), (c, 0.3), (0.0, 0.0), (0.6 * c, 0.79 * c),
+                   (0.45, 0.3), (grid[:, None], grid)):
         np.testing.assert_allclose(theory._visible_mass(model, deltas, 8),
                                    _converged_rule(model, deltas), rtol=1e-12,
                                    atol=1e-14, err_msg=str(deltas))
@@ -239,21 +233,19 @@ def test_square_converges_at_low_density_with_cutoff_jump(model):
 
 
 def test_unit_disk_closed_forms_match_generic_path():
-    # caps and corner overlaps in closed form, for any clips, against the
-    # radial rule every other kernel takes
+    # caps and the corner overlap in closed form against the radial rule
+    # every other kernel takes
     inf = math.inf
-    cases = [*((d, inf, inf, inf) for d in (0.05, 0.2, 0.6, 0.95)),
-             *((d1, inf, d2, inf) for d1, d2 in ((0.3, 0.5), (0.1, 0.15), (0.7, 0.7))),
-             (0.3, 0.6, 0.5, inf), (0.2, 0.35, 0.25, 0.4), (1.5, 0.0, inf, 0.0)]
+    cases = [*((d, inf) for d in (0.05, 0.2, 0.6, 0.95)),
+             (0.3, 0.5), (0.1, 0.15), (0.7, 0.7), (1.5, 0.0)]
     for deltas in cases:
         assert theory._visible_mass(UD, deltas, 8) == pytest.approx(
             _converged_rule(UD, deltas), rel=1e-9), deltas
     # arrays broadcast as in the square means' grids
     d = np.array([0.1, 0.4, 0.9])
-    got = theory._visible_mass(UD, (d[:, None], 0.5, d, inf), 8)
+    got = theory._visible_mass(UD, (d[:, None], d), 8)
     assert got.shape == (3, 3)
-    assert got[1, 2] == pytest.approx(theory._visible_mass(UD, (0.4, 0.5, 0.9, inf), 8),
-                                      rel=1e-15)
+    assert got[1, 2] == pytest.approx(theory._visible_mass(UD, (0.4, 0.9), 8), rel=1e-15)
 
 
 def test_unit_disk_corner_beyond_the_disk_is_exactly_zero():
@@ -263,7 +255,7 @@ def test_unit_disk_corner_beyond_the_disk_is_exactly_zero():
     inf = math.inf
     cap = math.acos(1e-3) - 1e-3 * math.sqrt(1.0 - 1e-6)
     assert float(theory._disk_corner(inf, 1e-3)) == 0.0
-    assert float(theory._visible_mass(UD, (1e-3, inf, inf, inf), 8)) == pytest.approx(
+    assert float(theory._visible_mass(UD, (1e-3, inf), 8)) == pytest.approx(
         math.pi - cap, abs=1e-15)
 
 
@@ -285,35 +277,20 @@ def test_square_decomposition_matches_direct_quadrature():
     assert split == pytest.approx(direct, rel=1e-6)
 
 
-@pytest.mark.parametrize("model,rho,b", [(UD, 2.0, 1.0), (log_normal(4.0, 3.0), 40.0, 0.0),
-                                         (GAUSS, 40.0, 0.0)])
-def test_wide_support_square_matches_dblquad(model, rho, b):
-    # r * cutoff > 1/2: the fixed-panel tensor rule over the quadrant
-    r = connection_radius(model.C, rho, b)
-    assert r * model.cutoff > 0.5
-    value, err = expected_isolated(model, rho, b, Metric.SQUARE, return_error=True)
-    assert err <= 1e-9 * value
-    want, want_err = square_mean_dblquad(model, rho, r)
-    assert abs(value - want) <= want_err
-
-
 def test_square_quadrature_vs_simulation():
-    # end-to-end check of both square paths against sampled isolation
-    # counts: narrow support takes the decomposition, wide support the
-    # direct fallback (reach > 1/2 forces the exact pair scan too)
+    # end-to-end check of the square decomposition against sampled
+    # isolation counts
     from rcmsim.analysis import isolated_count
     from rcmsim.sampler import SampleParams, build_graph, sample_points
 
-    cases = [(UD, 200.0, 2500, False), (GAUSS, 40.0, 4000, True)]
-    for model, rho, trials, exact in cases:
-        want = expected_isolated(model, rho, 0.0, Metric.SQUARE)
-        counts = np.empty(trials)
-        for t in range(trials):
-            p = SampleParams(rho, 0.0, model, Metric.SQUARE, 555, t)
-            s = build_graph(p, sample_points(p), exact=exact)
-            counts[t] = isolated_count(s)
-        se = counts.std(ddof=1) / math.sqrt(trials)
-        assert abs(counts.mean() - want) < 5.0 * se, (model.kind, counts.mean(), want)
+    rho, trials = 200.0, 2500
+    want = expected_isolated(UD, rho, 0.0, Metric.SQUARE)
+    counts = np.empty(trials)
+    for t in range(trials):
+        p = SampleParams(rho, 0.0, UD, Metric.SQUARE, 555, t)
+        counts[t] = isolated_count(build_graph(p, sample_points(p)))
+    se = counts.std(ddof=1) / math.sqrt(trials)
+    assert abs(counts.mean() - want) < 5.0 * se, (counts.mean(), want)
 
 
 def test_torus_refuses_support_wider_than_half_the_period():
@@ -334,7 +311,7 @@ def test_log_normal_torus_matches_limit_when_support_fits():
     assert got == pytest.approx(1.0, abs=1e-6)
 
 
-# --- cross mass and pair correlation ---
+# --- cross mass ---
 
 
 def test_cross_mass_unit_disk_vs_point_count_mc():
@@ -385,40 +362,14 @@ def test_cross_mass_vanishes_beyond_double_cutoff():
     assert theory._cross_mass(GAUSS, 2.0 * GAUSS.cutoff + 1.0) == 0.0
 
 
-def test_pair_correlation_examples():
-    rho, b = 1e4, 0.0
-    r = connection_radius(UD.C, rho, b)
-    # touching pairs can never be jointly isolated
-    assert pair_correlation_factor(UD, rho, b, 0.0) == 0.0
-    assert pair_correlation_factor(UD, rho, b, 0.5 * r) == 0.0
-    # disjoint supports: independent, factor exactly 1
-    assert pair_correlation_factor(UD, rho, b, 2.5 * r) == 1.0
-    # overlapping exclusion zones inflate joint isolation
-    got = pair_correlation_factor(UD, rho, b, 1.5 * r)
-    want = math.exp(rho * r * r * lens_area(1.5))
-    assert got == pytest.approx(want, rel=1e-12)
-    assert got > 1.0
-
-
 def test_pair_correlation_table_knots_are_break_points():
     # a separation a hair below the knot at 1: every knot crossing of the
-    # shifted kernel is a kink of the angular integrand, and unmarked
-    # kinks stall quad in roundoff
-    model = table_model([(0.0, 1.0), (0.5, 0.9), (1.0, 0.5), (1.5, 0.1),
-                         (2.0, 0.0)])
-    rho, b = 2000.0, 0.0
-    r = connection_radius(model.C, rho, b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        got = pair_correlation_factor(model, rho, b, (1.0 - 2.5e-12) * r)
-        near = pair_correlation_factor(model, rho, b, (1.0 - 1e-6) * r)
-    # the factor is continuous in the separation
-    assert got == pytest.approx(near, rel=1e-4)
-
-
-def test_pair_correlation_rejects_negative_separation():
-    with pytest.raises(ParameterError):
-        pair_correlation_factor(UD, 1e4, 0.0, -0.1)
+    # shifted kernel is a kink of the angular integrand, and an unmarked
+    # kink stalls the rule short of convergence
+    got = theory._cross_mass(TABLE5, 1.0 - 2.5e-12)
+    near = theory._cross_mass(TABLE5, 1.0 - 1e-6)
+    # the cross mass is continuous in the separation
+    assert got == pytest.approx(near, rel=1e-5)
 
 
 # --- dependence bounds ---
@@ -532,10 +483,10 @@ def test_theory_does_not_nest_adaptive_quad(monkeypatch):
 
 @pytest.mark.parametrize("quantity", [
     lambda: chen_stein_terms(UD, 2000.0, 0.0, return_error=True)[1:],
-    lambda: expected_isolated(TABLE3, 4.0, 0.0, Metric.SQUARE, return_error=True),
+    lambda: expected_isolated(TABLE3, 6.0, 0.0, Metric.SQUARE, return_error=True),
     lambda: expected_isolated(log_normal(4.0, 3.0), 2000.0, 0.0, Metric.SQUARE,
                               return_error=True),
-], ids=["unit-disk-b2", "table-wide-square", "log-normal-square"])
+], ids=["unit-disk-b2", "table-square", "log-normal-square"])
 def test_reported_error_covers_node_perturbation(quantity, monkeypatch):
     # the same Legendre nodes computed by scipy instead of numpy move each
     # value by a few to 62 eps; |Q_2n - Q_n| alone read 4e-16 where the
@@ -564,7 +515,7 @@ def test_unconverged_rule_raises(monkeypatch):
     monkeypatch.setattr(theory, "_ORDERS", (2, 4))
     theory._expected_isolated_square.cache_clear()
     with pytest.raises(QuadratureError) as info:
-        expected_isolated(GAUSS, 40.0, 0.0, Metric.SQUARE)
+        expected_isolated(GAUSS, 200.0, 0.0, Metric.SQUARE)
     assert info.value.estimate > 0.0
 
 
@@ -678,7 +629,7 @@ def test_theory_report_fields():
     assert rep.mean_degree == pytest.approx(math.log(1e3) + 0.5)
     assert rep.expected_isolated == rep.expected_isolated_torus
     assert rep.expected_isolated == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert rep.quad_error_torus == 0.0 and rep.torus_error is None
+    assert rep.quad_error_torus == 0.0
     assert rep.boundary_excess > 0.0
     assert rep.expected_isolated_square == expected_isolated(UD, 1e3, 0.5, Metric.SQUARE)
     assert 0.0 < rep.quad_error_square <= 1e-9 * rep.expected_isolated_square
@@ -699,16 +650,15 @@ def test_asymptotic_report_fields():
         assert rep.prob_no_isolated == pytest.approx(math.exp(-math.exp(-0.5)))
         assert rep.mean_degree == pytest.approx(math.log(1e3) + 0.5)
 
-def test_square_report_carries_torus_failure():
-    # r * cutoff = 0.90: the torus fields give way to the reason, and only
-    # a torus report raises
-    rep = theory_report(GAUSS, 40.0, 0.0, Metric.SQUARE)
-    assert rep.expected_isolated == rep.expected_isolated_square > 0.0
-    assert rep.expected_isolated_torus is None and rep.quad_error_torus is None
-    assert rep.boundary_excess is None
-    assert "half the torus period" in rep.torus_error
-    with pytest.raises(ParameterError):
-        theory_report(GAUSS, 40.0, 0.0, Metric.TORUS)
+def test_wide_support_raises_on_both_metrics():
+    # r * cutoff = 0.90: the square refuses the support as the torus does
+    # (test_torus_refuses_support_wider_than_half_the_period), so no
+    # report exists on either metric
+    with pytest.raises(ParameterError, match="exceeds 1/2"):
+        expected_isolated(GAUSS, 40.0, 0.0, Metric.SQUARE)
+    for metric in Metric:
+        with pytest.raises(ParameterError, match="exceeds 1/2"):
+            theory_report(GAUSS, 40.0, 0.0, metric)
 
 
 @pytest.mark.parametrize("rho, b, prob", [(2000.0, 40.0, 1.0), (1e30, -40.0, 0.0)])
@@ -723,7 +673,7 @@ def test_report_at_extreme_offsets(rho, b, prob):
 def test_report_validation():
     fields = dict(expected_isolated=1.0, expected_isolated_square=1.5,
                   quad_error_square=0.0, expected_isolated_torus=1.0,
-                  quad_error_torus=0.0, boundary_excess=0.5, torus_error=None,
+                  quad_error_torus=0.0, boundary_excess=0.5,
                   asymptotic_mean=1.0, prob_no_isolated=0.5, mean_degree=1.0)
     TheoryReport(**fields)
     TheoryReport(**{**fields, "prob_no_isolated": 1.0})
