@@ -22,7 +22,7 @@ class ModelError(RcmError, ValueError):
     """A connection kernel violates a structural requirement.
 
     Examples: non-integrable radial profile, table knots out of order,
-    a thinning ratio outside [0, 1].
+    a table that starts at or below the truncation epsilon.
     """
 
 

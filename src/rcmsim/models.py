@@ -8,16 +8,17 @@ r(rho, b) = sqrt((log rho + b) / (C rho)), natural logarithm throughout.
 
 Kernels are truncated: beyond `cutoff` the evaluated g is exactly 0, with
 cutoff chosen as the smallest x where the raw profile drops to the
-truncation epsilon (1e-12 by default).  For table kernels the truncation
-is part of the definition; for analytic kinds the mass beyond the cutoff
-is tracked as C_error and as the omitted-edge bias reported by the
-sampler.
+truncation epsilon (1e-12 by default).  C is always the mass of this
+truncated kernel, the one the sampler and the theory use, so the torus
+mean is e^{-b} at every density.  For table kernels the truncation is
+part of the definition; for analytic kinds the raw profile's mass beyond
+the cutoff is C_error, the omitted-edge bias reported by the sampler.
 
 Supported kinds, each with its C in closed form:
 
   unit_disk    g(x) = 1 for x <= 1, else 0.  C = pi, cutoff exactly 1.
-  gaussian     g(x) = exp(-x^2).  C = pi, the untruncated mass;
-               C_error = pi exp(-cutoff^2).
+  gaussian     g(x) = exp(-x^2).  C = pi (1 - exp(-cutoff^2));
+               C_error = pi exp(-cutoff^2), the tail.
   log_normal   g(x) = (1/2) erfc(10 eta log10(x) / (sqrt(2) sigma_db)),
                g(0) = 1.  The standard dB-shadowing form with spread
                sigma_db and path-loss exponent eta; results quoted for
@@ -74,9 +75,9 @@ class ModelValidationReport:
 class ConnectionModel:
     """An immutable kernel with its precomputed constants.
 
-    C is the radial integral of the truncated profile, in closed form (the
-    Gaussian keeps its untruncated pi); C_error is the mass of the raw
-    profile beyond the cutoff, zero for the self-truncated kinds.
+    C is the radial integral of the truncated profile, in closed form;
+    C_error is the mass of the raw profile beyond the cutoff, zero for the
+    self-truncated kinds.
     """
 
     kind: str
@@ -170,12 +171,12 @@ def unit_disk() -> ConnectionModel:
 def gaussian(cutoff_eps: float = TRUNCATION_EPS) -> ConnectionModel:
     _check_eps(cutoff_eps)
     cutoff = _bisect_cutoff(lambda x: math.exp(-x * x), cutoff_eps)
-    # mass beyond the cutoff, pi * exp(-cutoff^2), goes to the error bound
+    tail = math.exp(-cutoff * cutoff)
     return ConnectionModel(
         kind="gaussian",
         cutoff=cutoff,
-        C=math.pi,
-        C_error=math.pi * math.exp(-cutoff * cutoff),
+        C=math.pi * (1.0 - tail),
+        C_error=math.pi * tail,
         cutoff_eps=cutoff_eps,
     )
 

@@ -5,9 +5,8 @@ theory and simulation describe one system.  Central quantities, with
 r = sqrt((log rho + b) / (C rho)):
 
   expected isolated nodes, torus:
-      rho * exp(-rho * int_A g(|x|_T / r) dx)
-      which is rho * exp(-rho r^2 C_t) (C_t the truncated radial mass, so
-      closed form with no error).
+      rho * exp(-rho * int_A g(|x|_T / r) dx) = rho * exp(-rho r^2 C),
+      which is e^{-b}: C is the truncated kernel's mass, so no error.
   expected isolated nodes, square:
       rho * int_A exp(-rho * I(y)) dy with I(y) the kernel mass visible
       from y.  The domain splits exactly into an interior (constant
@@ -158,18 +157,9 @@ def theory_report(model: ConnectionModel, rho: float, b: float,
     )
 
 
-def _truncated_mass(model: ConnectionModel) -> float:
-    """C_t, the radial mass of the truncated kernel: the Gaussian's C is the
-    untruncated pi, every other kind's C is already the truncated mass."""
-    if model.kind == "gaussian":
-        return model.C - model.C_error
-    return model.C
-
-
-@lru_cache(maxsize=4096)
 def _expected_isolated_torus(model: ConnectionModel, rho: float, b: float):
     r = support_radius(model, rho, b)
-    return rho * math.exp(-rho * r * r * _truncated_mass(model)), 0.0
+    return rho * math.exp(-rho * r * r * model.C), 0.0
 
 
 @lru_cache(maxsize=1024)
@@ -178,7 +168,7 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     cutoff = model.cutoff
     reach = r * cutoff
     scale = rho * r * r
-    interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * _truncated_mass(model))
+    interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * model.C)
     # exp(-scale K) falls fastest next to the boundary: the panels of the
     # distance d to it halve toward it, down to the layer width 1 / scale
     halvings = np.arange(1, math.log2(cutoff * scale))
@@ -266,8 +256,7 @@ def _visible_mass_gaussian(model: ConnectionModel, d1, d2) -> np.ndarray:
                   - 0.5 * eps * np.arccos(x / c) for x in (d1, d2))
     q1, q2 = 0.5 * special.erfc(d1), 0.5 * special.erfc(d2)
     pair = a1 + a2 + 0.25 * math.pi * eps - math.pi * (0.5 * (q1 + q2) - q1 * q2)
-    return (_truncated_mass(model) - 2.0 * (a1 + a2)
-            + np.where(np.hypot(d1, d2) < c, pair, 0.0))
+    return model.C - 2.0 * (a1 + a2) + np.where(np.hypot(d1, d2) < c, pair, 0.0)
 
 
 def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
@@ -528,7 +517,6 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
         raise ParameterError(
             "dependence disc exceeds half the torus period; increase rho or epsilon"
         )
-    c_t = _truncated_mass(model)
     mass_scale = rho * r * r
     # 1 - g(s) breaks where g does.  The cross mass kinks where kink circles
     # about the two centers touch, at every sum and difference of two kinks
@@ -543,7 +531,7 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
         s, w = _panels(breaks, n)
         cross = _cross_mass_rule(model, s, n) + _cross_mass_rule(model, period - s, n)
         return w @ (2.0 * math.pi * s * (1.0 - model.g(s))
-                    * np.exp(-mass_scale * (2.0 * c_t - cross)))
+                    * np.exp(-mass_scale * (2.0 * model.C - cross)))
 
     value, err = _converged(integral, "dependence integral", _B2_REL_TOL)
     return b1, rho * rho * r * r * float(value), rho * rho * r * r * err

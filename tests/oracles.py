@@ -249,16 +249,19 @@ def mc_log_normal_C(sigma_db, eta, n_samples, seed):
     return mean, se
 
 
-def gaussian_square_mean(rho, b):
+def gaussian_square_mean(rho, b, cutoff):
     """Expected isolated nodes on the unit square for the untruncated
-    Gaussian kernel, from its separable visible mass: with
+    Gaussian kernel at the range of the kernel cut at `cutoff`,
+    r = sqrt((log rho + b) / (C_t rho)), C_t = pi (1 - exp(-cutoff^2)),
+    from its separable visible mass: with
     M(t) = (r sqrt(pi) / 2) [erf((1/2 - t) / r) + erf((1/2 + t) / r)]
     the mass seen from (y1, y2) is M(y1) M(y2), and the mean is
     rho * int exp(-rho M(y1) M(y2)) dy, here by nested adaptive quad over
     one quadrant with the boundary layer marked."""
     from scipy import integrate, special
 
-    r = math.sqrt((math.log(rho) + b) / (math.pi * rho))
+    c_t = math.pi * (1.0 - math.exp(-cutoff * cutoff))
+    r = math.sqrt((math.log(rho) + b) / (c_t * rho))
 
     def m(t):
         return 0.5 * r * math.sqrt(math.pi) * (special.erf((0.5 - t) / r)
@@ -321,14 +324,15 @@ def gaussian_b2(model, rho, b, epsilon):
     (pi/2) exp(-s^2 / 2) for the pair at s and its torus image at 1/r - s:
     rho^2 r^2 int_0^{2 r^-eps} 2 pi s (1 - g(s))
     exp(-rho r^2 (2 C_t - X(s) - X(1/r - s))) ds,
-    C_t = pi (1 - exp(-cutoff^2)).  At separations below 5.6 the
+    C_t = pi (1 - exp(-cutoff^2)), which also sets
+    r = sqrt((log rho + b) / (C_t rho)).  At separations below 5.6 the
     truncation changes X by less than 1e-12."""
     from scipy import integrate
 
     cutoff = model.cutoff
-    r = math.sqrt((math.log(rho) + b) / (math.pi * rho))
-    s_max = 2.0 * r ** (-epsilon)
     c_t = math.pi * (1.0 - math.exp(-cutoff * cutoff))
+    r = math.sqrt((math.log(rho) + b) / (c_t * rho))
+    s_max = 2.0 * r ** (-epsilon)
 
     def cross(s):
         return 0.5 * math.pi * math.exp(-0.5 * s * s)

@@ -29,7 +29,9 @@ def test_unit_disk_basics():
 
 def test_gaussian_basics():
     m = gaussian()
-    assert m.C == math.pi
+    # C is the truncated mass; the tail C_error makes up the plane's pi
+    assert m.C == math.pi * (1.0 - math.exp(-m.cutoff * m.cutoff))
+    assert m.C + m.C_error == pytest.approx(math.pi, rel=1e-15)
     # cutoff solves e^{-x^2} = eps
     assert m.cutoff == pytest.approx(math.sqrt(-math.log(TRUNCATION_EPS)),
                                      rel=1e-9)
@@ -40,21 +42,24 @@ def test_gaussian_basics():
 
 
 @pytest.mark.parametrize("model", [
+    unit_disk(), gaussian(), gaussian(cutoff_eps=0.1),
     log_normal(4.0, 2.0), log_normal(4.0, 3.0), log_normal(8.0, 3.0),
     log_normal(2.0, 6.0), log_normal(10.0, 2.0),
     TABLE3, TABLE5, DENSE,
     table_model([(0.5, 0.9), (1.0, 0.5), (2.0, 0.0)]),  # clamped below 0.5
-], ids=["log_normal-4-2", "log_normal-4-3", "log_normal-8-3", "log_normal-2-6",
-        "log_normal-10-2", "table3", "table5", "dense", "first-knot-0.5"])
+], ids=["unit_disk", "gaussian", "gaussian-0.1", "log_normal-4-2", "log_normal-4-3",
+        "log_normal-8-3", "log_normal-2-6", "log_normal-10-2", "table3", "table5", "dense",
+        "first-knot-0.5"])
 def test_closed_form_C_matches_adaptive_quadrature(model):
+    # C is the mass of the truncated kernel for every kind; only the
+    # analytic kinds leave a tail beyond the cutoff
     want, _, tail, tail_err = quad_radial_C(model)
-    assert abs(model.C - want) <= max(model.C_error, 1e-13 * model.C)
-    if model.kind == "log_normal":
-        # the tail is pi e^{1/a^2} - C, a difference of C-sized numbers
+    assert abs(model.C - want) <= 1e-13 * model.C
+    assert (model.C_error > 0.0) == (model.kind in ("gaussian", "log_normal"))
+    if model.C_error > 0.0:
+        # the log-normal's tail is pi e^{1/a^2} - C, a difference of
+        # C-sized numbers
         assert abs(model.C_error - tail) <= 1e-13 * model.C + tail_err
-        assert model.C_error > 0.0
-    else:
-        assert model.C_error == 0.0
 
 
 def test_table_plateau_above_eps_diverges():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rcmsim import theory
+from rcmsim.cli import CampaignConfig, run_campaign
 from rcmsim.errors import ParameterError, QuadratureError
 from rcmsim.geometry import Metric
 from rcmsim.models import (connection_radius, gaussian, log_normal,
@@ -58,9 +59,9 @@ def test_torus_error_estimate_is_returned():
 
 
 def test_truncated_tail_is_not_a_quadrature_error():
-    # a log-normal's C is already the truncated mass, so the tail beyond
-    # the cutoff (C_error, large at eps 1e-3) is no error of the closed
-    # torus form or of the square quadrature
+    # a log-normal's C is the truncated mass, as every kind's is, so the
+    # tail beyond the cutoff (C_error, large at eps 1e-3) is no error of
+    # the closed torus form or of the square quadrature
     ln = log_normal(4.0, 3.0, cutoff_eps=1e-3)
     assert ln.C_error > 1e-3
     value, err = expected_isolated(ln, 2000.0, 0.0, Metric.TORUS, return_error=True)
@@ -79,16 +80,17 @@ def test_square_error_estimate_is_relative_at_large_density():
 
 @pytest.mark.parametrize("rho", [2000.0, 1e4])
 def test_gaussian_square_error_covers_erf_oracle(rho):
-    # the separable erf form is exact for the untruncated kernel, which
-    # shows each node at most C_error more mass: the exponent rho r^2 I =
-    # (log rho + b) I / C moves by at most (log rho + b) C_error / C, and
-    # the mean by that times its value.  The bound drops the 1 / C, a
-    # factor pi to spare for the oracle's own quad error; the gap is
-    # about 1e-11, far above the quadrature's own error of about 7e-14
+    # the separable erf form is exact for the untruncated kernel, which at
+    # the same r shows each node at most C_error more mass: the exponent
+    # rho r^2 I = (log rho + b) I / C moves by at most
+    # (log rho + b) C_error / C, and the mean by that times its value.
+    # The bound drops the 1 / C, a factor pi to spare for the oracle's own
+    # quad error; the gap is about 1e-11, far above the quadrature's own
+    # error of about 7e-14
     value, err = expected_isolated(GAUSS, rho, 0.0, Metric.SQUARE,
                                    return_error=True)
     tail = value * math.log(rho) * GAUSS.C_error
-    assert abs(value - gaussian_square_mean(rho, 0.0)) <= err + tail
+    assert abs(value - gaussian_square_mean(rho, 0.0, GAUSS.cutoff)) <= err + tail
 
 
 @pytest.mark.parametrize("model", [GAUSS, TABLE3, log_normal(4.0, 3.0)])
@@ -123,7 +125,8 @@ def test_log_normal_square_is_fast_and_quiet():
 
 
 @pytest.mark.parametrize("model,target", [(GAUSS, 0.892521), (TABLE3, 0.890406),
-                                          (DENSE, 0.970675)])
+                                          (DENSE, 0.970675),
+                                          (gaussian(cutoff_eps=0.1), 0.874598)])
 def test_edge_layer_rate_general_kernels(model, target):
     # large-density edge-strip term for a general kernel (Dettmann and
     # Georgiou, Phys. Rev. E 93, 032313): E_sq - E_tor ~
@@ -301,14 +304,37 @@ def test_torus_refuses_support_wider_than_half_the_period():
         expected_isolated(GAUSS, 40.0, 0.0, Metric.TORUS)
 
 
-def test_log_normal_torus_matches_limit_when_support_fits():
-    # C_t = C for table-free kernels, so the torus value collapses to
-    # e^{-b} whenever the truncated support fits in the cell
-    ln = log_normal(4.0, 2.0)
-    r = connection_radius(ln.C, 1e4, 0.0)
-    assert r * ln.cutoff <= 0.5
-    got = expected_isolated(ln, 1e4, 0.0, Metric.TORUS)
-    assert got == pytest.approx(1.0, abs=1e-6)
+@pytest.mark.parametrize("model", [
+    UD, GAUSS, gaussian(cutoff_eps=1e-3), gaussian(cutoff_eps=0.1),
+    log_normal(4.0, 2.0), log_normal(4.0, 3.0), TABLE3, TABLE5,
+], ids=["unit_disk", "gaussian", "gaussian-1e-3", "gaussian-0.1", "log_normal-4-2",
+        "log_normal-4-3", "table3", "table5"])
+def test_torus_matches_limit_when_support_fits(model):
+    # every kind's C is the mass of the truncated kernel the torus sums
+    # over, so rho exp(-rho r^2 C) is e^{-b} at any density where the
+    # support fits in the cell (the log-normal (4, 2) misses at rho 2000)
+    for rho, b in ((2000.0, 0.0), (1e20, 0.5), (1e100, 3.0)):
+        if connection_radius(model.C, rho, b) * model.cutoff > 0.5:
+            with pytest.raises(ParameterError):
+                expected_isolated(model, rho, b, Metric.TORUS)
+            continue
+        got = expected_isolated(model, rho, b, Metric.TORUS)
+        assert got == pytest.approx(math.exp(-b), rel=1e-12), (rho, b)
+
+
+def test_truncated_gaussian_torus_campaign_mean_is_limit():
+    # at eps 0.1 the truncated mass is 0.9 pi, so a range set from pi
+    # would put the mean near 2.1 here.  Seed 7, as in the acceptance
+    # campaigns
+    trials = 400
+    cfg = CampaignConfig(model=gaussian(cutoff_eps=0.1), rho_list=(2000.0,), b_list=(0.0,),
+                         metric="torus", trials=trials, master_seed=7, epsilon=0.25,
+                         output_path="unused.csv", format="csv")
+    summary, _, _ = run_campaign(cfg, workers=1)
+    cell = summary.cells[0]
+    assert cell.theory_isolated == pytest.approx(1.0, rel=1e-12)
+    se = math.sqrt(cell.var_isolated / trials)
+    assert abs(cell.mean_isolated - 1.0) <= 4.0 * se, (cell.mean_isolated, se)
 
 
 # --- cross mass ---
@@ -354,7 +380,7 @@ def test_truncated_gaussian_cross_mass_vs_mc():
         assert abs(got[i] - est) < 5.0 * se, (s, got[i], est, se)
     # pinned at the b2 a 2-D radial x angular rule gives
     b2 = chen_stein_terms(model, 2000.0, 0.0)[1]
-    assert b2 == pytest.approx(0.5412843177840976, rel=1e-9)
+    assert b2 == pytest.approx(0.14258767632212632, rel=1e-9)
 
 
 def test_cross_mass_vanishes_beyond_double_cutoff():
