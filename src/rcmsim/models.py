@@ -10,9 +10,10 @@ Kernels are truncated: beyond `cutoff` the evaluated g is exactly 0, with
 cutoff chosen as the smallest x where the raw profile drops to the
 truncation epsilon (1e-12 by default).  C is always the mass of this
 truncated kernel, the one the sampler and the theory use, so the torus
-mean is e^{-b} at every density.  For table kernels the truncation is
-part of the definition; for analytic kinds the raw profile's mass beyond
-the cutoff is C_error, the omitted-edge bias reported by the sampler.
+mean is e^{-b} wherever the support fits.  For table kernels the
+truncation is part of the definition; for analytic kinds the raw
+profile's mass beyond the cutoff is C_error, the omitted-edge bias
+reported by the sampler.
 
 Supported kinds, each with its C in closed form:
 
