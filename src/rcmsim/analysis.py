@@ -41,15 +41,19 @@ def isolated_count(sample: NetworkSample) -> int:
 def components(sample: NetworkSample) -> tuple[int, bool]:
     """(number of connected components, whether the graph is connected).
 
-    Empty and singleton graphs count as connected.
+    Empty and singleton graphs count as connected.  The CSR adjacency is
+    read straight off the edge list, which relies on the NetworkSample
+    contract: edges sorted lexicographically with i < j, so row i's
+    neighbours are one sorted slice of edges[:, 1].
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = sample.n_points
     edges = sample.edges
-    graph = coo_matrix((np.ones(edges.shape[0], dtype=np.int8),
-                        (edges[:, 0], edges[:, 1])), shape=(n, n))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=n))))
+    graph = csr_matrix((np.ones(edges.shape[0], dtype=np.int8), edges[:, 1], indptr),
+                       shape=(n, n))
     count = int(connected_components(graph, directed=False, return_labels=False))
     return count, count <= 1
 

@@ -9,15 +9,20 @@ r = connection_radius(C, rho, b).  All randomness is counter-based
 `SampleParams` refuses a scaled support r * cutoff above 1/2 on either
 metric, the rule the theory keeps too.
 
-Pair enumeration uses a bucket grid with cell size >= r * cutoff and a
-3x3 neighborhood scan (wrapping on the torus), which is exhaustive
-because the truncated kernel vanishes beyond r * cutoff.  When fewer than
-three cells fit on a side the grid is a single cell, whose same-cell
+Pair enumeration uses a bucket grid whose cells hold about eight points,
+or span about r * cutoff when that is narrower.  Each point scans its own
+column of cells and the k columns to its right, and in each column only
+the rows that come within r * cutoff of it (wrapping on the torus).  That
+is exhaustive because the truncated kernel vanishes beyond r * cutoff.
+When the torus cannot fit 2k + 1 columns the grid is a single cell, whose
 triangle lists every pair; there is no separate O(n^2) path.  Candidate
 pairs are realized in cell order and in slices of fixed size, so memory
 stays bounded for any density and kernel support.  A squared-distance
-filter with slack passes a superset of the pairs in range to the exact
-hypot test, the coin and g; edges are sorted by the int64 key i * n + j.
+filter with slack keeps a superset of the pairs in range, and each draws
+its coin u.  A per-trial table over bins of the squared distance brackets
+g between lo and hi: u < lo is an edge, u >= hi is none, and only the
+pairs in between (about 0.1%) take the exact hypot test and g.  Edges are
+sorted by the int64 key i * n + j.
 The coupled metric draws nothing of its own: its square graph is the
 torus graph less the wrapping edges.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,13 +40,18 @@ from . import streams
 from .errors import ModelError, ParameterError
 from .geometry import LO, Metric, distance_arrays
 
-# half of the 3x3 neighborhood: together with the same-cell triangle this
-# visits every unordered cell pair exactly once
-_HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
+# points per grid cell the grid aims at
+_CELL_POINTS = 8
+
+# bins of squared separation for the bracketed edge coin, and the slack on
+# its bounds: far above the rounding error of any kernel's g, far below the
+# spread of g over a bin
+_COIN_BINS = 1024
+_G_SLACK = 1e-14
 
 # candidate pairs realized at once (a slice overshoots by at most one
-# source's run); the scratch memory grows with it, about 4.5 MB traced at
-# 2^15 and 7.8 MB at 2^16 on a Gaussian trial at rho 2000; 2^16 is no faster
+# source's run); the scratch memory grows with it, about 3.9 MB traced at
+# 2^15 and 6.4 MB at 2^16 on a Gaussian trial at rho 2000; 2^16 is no faster
 _SLICE_PAIRS = 1 << 15
 
 @dataclass(frozen=True)
@@ -133,10 +144,11 @@ def build_graph(params: SampleParams, points: np.ndarray,
                 exact: bool = False) -> NetworkSample:
     """Realize the connection graph on the given points.
 
-    `exact` forces the 1x1 grid, so every pair is a candidate; a support
-    r * cutoff above 1/3 gets that grid anyway.  Every grid produces the
-    same edge set because each pair's uniform depends only on
-    (master_seed, trial_index, tag, i, j).
+    `exact` forces the 1x1 grid, so every pair is a candidate; a torus
+    that cannot fit the 2k + 1 columns of the scan gets that grid anyway.
+    Every grid produces the same edge set because each pair's uniform
+    depends only on (master_seed, trial_index, tag, i, j), and a pair's
+    coin is settled by the exact test wherever its bracket leaves it open.
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 2:
@@ -145,7 +157,8 @@ def build_graph(params: SampleParams, points: np.ndarray,
         raise ParameterError("points outside the unit cell")
     key = streams.stream_key(params.master_seed, params.trial_index,
                              streams.TAG_EDGES)
-    m = 1 if exact else _grid_side(params.r * params.model.cutoff, points.shape[0])
+    m = 1 if exact else _grid_side(params.r * params.model.cutoff, points.shape[0],
+                                   params.metric is Metric.TORUS)
     return NetworkSample(params, points, _grid_edges(params, points, key, m))
 
 
@@ -185,86 +198,163 @@ def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> flo
 # internals
 
 
-def _grid_side(reach: float, n: int) -> int:
-    # more cells than points buys nothing; below three cells a side the
-    # wrapped half neighborhood would visit a cell twice, so use one cell
-    m = min(int(1.0 / reach), 2 * math.isqrt(n) + 1, 4096)
-    return m if m >= 3 else 1
+def _grid_side(reach: float, n: int, torus: bool) -> int:
+    # cells of about _CELL_POINTS points, or a reach wide when that is
+    # narrower; more cells than points buys nothing.  The wrapped torus
+    # scan needs 2k + 1 <= m for k = int(span) + 1, else one cell
+    m = min(max(int(1.0 / reach), math.isqrt(n // _CELL_POINTS)), 2 * math.isqrt(n) + 1, 4096)
+    if torus and 2 * int(_span(reach, m)) + 3 > m:
+        return 1
+    return m
+
+
+def _span(reach: float, m: int) -> float:
+    # the reach in cell widths, with slack far above the rounding of the
+    # cell coordinates
+    return reach * m * (1.0 + 1e-9) + 1e-9
+
+
+@lru_cache(maxsize=64)
+def _coin_brackets(model: _models.ConnectionModel, r: float,
+                   bins: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(bound, scale, lo, hi): the prefilter's bound reach^2 (1 + 1e-9) on
+    the squared separation q, and lo[b] <= g(d / r) <= hi[b] for every
+    distance d = hypot(dx, dy) of a pair whose q <= bound falls in bin
+    b = int(q * scale), with lo[b] = -1 where d may exceed reach.  Cached,
+    as the trials of a campaign cell share r.
+
+    g is non-increasing up to the rise of 1e-12 per knot that
+    validate_model admits and linear between knots, so over a span of
+    distances it is bounded by its values at the span's ends and at the
+    knots inside: the bounds are a suffix max and a prefix min over bin
+    edges and knots.  Edges are widened by 1e-9 relative, far above the
+    rounding between q, its bin and hypot; values by _G_SLACK."""
+    reach = r * model.cutoff
+    bound = reach * reach * (1.0 + 1e-9)
+    scale = bins / bound
+    # one more bin for q * scale rounding up to `bins`
+    edge = np.sqrt(np.arange(bins + 2) / scale)
+    d_lo, d_hi = edge[:-1] * (1.0 - 1e-9), edge[1:] * (1.0 + 1e-9)
+    x_lo, x_hi = d_lo / r, d_hi / r
+    x = np.unique(np.concatenate((x_lo, x_hi, model.radii or (), [model.cutoff])))
+    gx = model.g(x)
+    hi = np.maximum.accumulate(gx[::-1])[::-1][np.searchsorted(x, x_lo)] + _G_SLACK
+    lo = np.minimum.accumulate(gx)[np.searchsorted(x, x_hi)] - _G_SLACK
+    lo[d_hi > reach] = -1.0
+    lo.flags.writeable = hi.flags.writeable = False
+    return bound, scale, lo, hi
 
 
 def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
                 m: int) -> np.ndarray:
-    """Edges over an m x m bucket grid, sorted lexicographically.
-
-    Every candidate run is (source position, first position, count) in
-    cell order: the source pairs with the next `count` points.  Same-cell
-    runs are the tails of each cell; cross-cell runs cover the half
-    neighborhood, which m >= 3 keeps free of repeated cells.
-    """
+    """Edges over an m x m bucket grid, sorted lexicographically."""
     n = points.shape[0]
-    cx = np.clip(((points[:, 0] - LO) * m).astype(np.int64), 0, m - 1)
-    cy = np.clip(((points[:, 1] - LO) * m).astype(np.int64), 0, m - 1)
-    cell = cx * m + cy
-    order = np.argsort(cell, kind="stable")
-    cx, cy, cell = cx[order], cy[order], cell[order]
-    starts = np.searchsorted(cell, np.arange(m * m + 1))
-
-    pos = np.arange(n)
-    src = [pos]
-    first = [pos + 1]
-    count = [starts[cell + 1] - pos - 1]
-    for ox, oy in (_HALF_OFFSETS if m > 1 else ()):
-        tx = cx + ox
-        ty = cy + oy
-        if params.metric is Metric.TORUS:
-            rows = pos
-            tx %= m
-            ty %= m
-        else:
-            rows = np.flatnonzero((tx >= 0) & (tx < m) & (ty >= 0) & (ty < m))
-            tx, ty = tx[rows], ty[rows]
-        target = tx * m + ty
-        src.append(rows)
-        first.append(starts[target])
-        count.append(starts[target + 1] - starts[target])
-    pair = np.sort(_expand_runs(params, points, order, key, np.concatenate(src),
-                                np.concatenate(first), np.concatenate(count)))
+    X, Y = (points[:, 0] - LO) * m, (points[:, 1] - LO) * m
+    cx = np.clip(X.astype(np.int64), 0, m - 1)
+    cy = np.clip(Y.astype(np.int64), 0, m - 1)
+    order = np.argsort(cx * m + cy, kind="stable")
+    runs = _scan_runs(X[order], Y[order], cx[order], cy[order], m,
+                      params.r * params.model.cutoff, params.metric is Metric.TORUS)
+    pair = np.sort(_expand_runs(params, points, order, key, runs))
     return np.column_stack((pair // n, pair % n))
 
 
+def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+               m: int, reach: float, torus: bool):
+    """Groups of candidate runs over points sorted by cell, given in cell
+    units with their cell's column and row.  A group is as many columns as
+    make about _SLICE_PAIRS candidates, so the runs held at once stay
+    O(n + _SLICE_PAIRS) whatever k is.
+
+    A run is (source position, first position, count): the source pairs
+    with the next `count` points.  A source scans the columns cx .. cx + k
+    of the grid; in each column it takes the one range of rows that can
+    hold points within reach of it, plus the part that wraps on the torus.
+    In its own column it starts after itself, so every unordered pair
+    within reach is a candidate exactly once.
+    """
+    n = X.size
+    starts = np.searchsorted(cx * m + cy, np.arange(m * m + 1))
+    span = _span(reach, m)
+    pos = np.arange(n)
+    group, size = [], 0
+    columns = int(span) + 2 if m > 1 else 1
+    for ox in range(columns):
+        # rows bottom .. top of column cx + ox come within reach; h < k, so
+        # they are at most 2k + 1
+        tx = cx + ox
+        base = (tx % m if torus else np.minimum(tx, m - 1)) * m
+        if ox:
+            gap = np.maximum(tx - X, 0.0)
+            h = np.sqrt(np.maximum(span * span - gap * gap, 0.0))
+            bottom = np.floor(Y - h).astype(np.int64)
+            first = starts[base + np.clip(bottom, 0, m)]
+        else:
+            h, bottom, first = span, cy + 1, pos + 1
+        top = np.floor(Y + h).astype(np.int64)
+        count = starts[base + np.minimum(top, m - 1) + 1] - first
+        if torus and m > 1:
+            # the rows past either edge, wrapped: at most one side, as 2k + 1 <= m
+            w = np.flatnonzero((bottom < 0) | (top >= m))
+            below = bottom[w] < 0
+            wfirst = starts[base[w] + np.where(below, bottom[w] + m, 0)]
+            wend = starts[base[w] + np.where(below, m, top[w] - m + 1)]
+            group.append((np.concatenate((pos, w)), np.concatenate((first, wfirst)),
+                          np.concatenate((count, wend - wfirst))))
+        else:
+            count[tx >= m] = 0  # columns past the square's edge
+            group.append((pos, first, count))
+        size += int(group[-1][2].sum())
+        if size >= _SLICE_PAIRS or ox == columns - 1:
+            yield tuple(np.concatenate(part) for part in zip(*group))
+            group, size = [], 0
+
+
 def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
-                 key: int, src: np.ndarray, first: np.ndarray,
-                 count: np.ndarray) -> np.ndarray:
-    """Realize the pairs of cell-order positions (src[k], first[k] + t),
-    t < count[k], where position p holds point order[p], about
-    _SLICE_PAIRS candidates at a time; returns edge keys lo * n + hi.
-    The squared distance with slack keeps a superset of the pairs in range
-    for the exact test; the torus fold is odd and hypot even in the
-    difference, so a pair's distance does not depend on its point order."""
+                 key: int, runs) -> np.ndarray:
+    """Realize each group (src, first, count) of candidate runs: the pairs
+    of cell-order positions (src[k], first[k] + t), t < count[k], where
+    position p holds point order[p], about _SLICE_PAIRS candidates at a
+    time; returns edge keys lo * n + hi.
+
+    The squared distance with slack keeps a superset of the pairs in
+    range.  Each one draws its coin u from its lower point's hash word,
+    computed once per point; u < lo of its bin is an edge, u >= hi is
+    none, and the pairs in between take the exact test: hypot,
+    d <= reach and u < g(d / r).  The torus fold is odd and hypot even in
+    the difference, so a pair's distance does not depend on its point
+    order."""
+    n = order.size
     xs, ys = points[order, 0], points[order, 1]
     torus = params.metric is Metric.TORUS
     r, g = params.r, params.model.g
     reach = r * params.model.cutoff
-    bound = reach * reach * (1.0 + 1e-9)
-    offs = np.concatenate(([0], np.cumsum(count)))
-    cuts = np.searchsorted(offs, np.arange(_SLICE_PAIRS, offs[-1], _SLICE_PAIRS))
-    bounds = np.concatenate(([0], cuts, [count.size]))
+    bound, scale, lo_bin, hi_bin = _coin_brackets(params.model, r, _COIN_BINS)
+    words = streams.word_array(key, np.arange(n))
     parts = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        runs = count[a:b]
-        pi = np.repeat(src[a:b], runs)
-        pj = np.repeat(first[a:b] - offs[a:b], runs) + np.arange(offs[a], offs[b])
-        dx = np.repeat(xs[src[a:b]], runs) - xs[pj]
-        dy = np.repeat(ys[src[a:b]], runs) - ys[pj]
-        if torus:
-            dx -= np.round(dx)
-            dy -= np.round(dy)
-        near = np.flatnonzero(dx * dx + dy * dy <= bound)
-        d = np.hypot(dx[near], dy[near])
-        inside = d <= reach
-        near, d = near[inside], d[inside]
-        i, j = order[pi[near]], order[pj[near]]
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        connected = streams.pair_uniform_array(key, lo, hi) < g(d / r)
-        parts.append(lo[connected] * order.size + hi[connected])
+    for src, first, count in runs:
+        offs = np.concatenate(([0], np.cumsum(count)))
+        cuts = np.searchsorted(offs, np.arange(_SLICE_PAIRS, offs[-1], _SLICE_PAIRS))
+        bounds = np.concatenate(([0], cuts, [count.size]))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            lengths = count[a:b]
+            i = np.repeat(order[src[a:b]], lengths)
+            pj = np.repeat(first[a:b] - offs[a:b], lengths) + np.arange(offs[a], offs[b])
+            dx = np.repeat(xs[src[a:b]], lengths) - xs[pj]
+            dy = np.repeat(ys[src[a:b]], lengths) - ys[pj]
+            if torus:
+                dx -= np.round(dx)
+                dy -= np.round(dy)
+            q = dx * dx + dy * dy
+            near = np.flatnonzero(q <= bound)
+            i, j = i[near], order[pj[near]]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            u = streams.unit_array(streams.word_array(words[lo], hi))
+            k = (q[near] * scale).astype(np.intp)
+            connected = u < lo_bin[k]
+            unsure = np.flatnonzero((u < hi_bin[k]) != connected)
+            if unsure.size:
+                d = np.hypot(dx[near[unsure]], dy[near[unsure]])
+                connected[unsure] = (d <= reach) & (u[unsure] < g(d / r))
+            parts.append(lo[connected] * n + hi[connected])
     return np.concatenate(parts)

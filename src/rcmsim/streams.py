@@ -41,11 +41,17 @@ def mix64(z: int) -> int:
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """Same finalizer on a uint64 array. Multiplication wraps mod 2**64."""
-    z = np.asarray(z, dtype=np.uint64)
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_M1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_M2)
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_key(master_seed: int, trial_index: int, stream_tag: int) -> int:
@@ -72,10 +78,21 @@ def uniform(key: int, counter: int) -> float:
 
 def uniform_array(key: int, counters: np.ndarray) -> np.ndarray:
     """Vectorized `uniform` over a uint64 counter array."""
-    counters = np.asarray(counters, dtype=np.uint64)
+    return unit_array(word_array(key, counters))
+
+
+def word_array(key, counters: np.ndarray) -> np.ndarray:
+    """Vectorized `_word` over a counter array; `key` is one key or an
+    array of them.  `word_array(key, i)` is the first round of
+    `pair_uniform`, so a caller can compute it once per point."""
     with np.errstate(over="ignore"):
-        z = np.uint64(key) + np.uint64(GOLDEN) * counters
-    h = mix64_array(z)
+        z = np.asarray(counters, dtype=np.uint64) * np.uint64(GOLDEN)
+        z += np.asarray(key, dtype=np.uint64)
+    return _mix64_inplace(z)
+
+
+def unit_array(h: np.ndarray) -> np.ndarray:
+    """Vectorized `_to_unit`: top 53 bits of uint64 words -> [0, 1)."""
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -86,13 +103,7 @@ def pair_uniform(key: int, i: int, j: int) -> float:
 
 def pair_uniform_array(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Vectorized `pair_uniform` over index arrays (elementwise i < j)."""
-    i = np.asarray(i, dtype=np.uint64)
-    j = np.asarray(j, dtype=np.uint64)
-    g = np.uint64(GOLDEN)
-    with np.errstate(over="ignore"):
-        h = mix64_array(np.uint64(key) + g * i)
-        h = mix64_array(h + g * j)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return unit_array(word_array(word_array(key, i), j))
 
 
 def poisson_sample(mean: float, key: int) -> int:

@@ -137,6 +137,17 @@ def test_exact_scan_matches_grid_across_slices():
     assert exact.dtype == np.int64 and exact.flags.c_contiguous
 
 
+@pytest.mark.parametrize("metric", [Metric.TORUS, Metric.SQUARE])
+def test_wide_scan_matches_brute_force(metric):
+    # cells of about 8 points and a reach of 0.3 put the scan 3 columns
+    # out, and its rows past the torus seam
+    p = _params(400.0, -1.9, metric=metric, model=GAUSS, seed=21)
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, (400, 2))
+    reach = p.r * GAUSS.cutoff
+    assert int(sampler._span(reach, sampler._grid_side(reach, 400, metric is Metric.TORUS))) + 1 >= 3
+    assert np.array_equal(build_graph(p, pts).edges, brute_force_edges(p, pts))
+
+
 def test_tiny_slices_match_default_slices(monkeypatch):
     # slices far smaller than one source's run of candidates give every
     # run a slice of its own and leave some slices empty
@@ -151,18 +162,71 @@ def test_tiny_slices_match_default_slices(monkeypatch):
         assert np.array_equal(build_graph(p, pts).edges, want)
 
 
+def test_single_coin_bin_matches_default(monkeypatch):
+    # one coin bin reaches past the range, so every pair in the prefilter
+    # takes the exact test; the bracketed coin must give the same edges
+    cases = []
+    for k, (model, metric) in enumerate([(m, metric) for m in (UD, GAUSS, log_normal(4.0, 3.0))
+                                         for metric in (Metric.TORUS, Metric.SQUARE)]):
+        p = _params(800.0, 0.5, metric=metric, model=model, seed=80 + k)
+        pts = sample_points(p)
+        cases.append((p, pts, build_graph(p, pts).edges))
+    monkeypatch.setattr(sampler, "_COIN_BINS", 1)
+    for p, pts, want in cases:
+        assert np.array_equal(build_graph(p, pts).edges, want), (p.model.kind, p.metric)
+
+
+def _creeping_table():
+    # rises 0.9e-12 per knot, within what validate_model admits
+    knots = [(0.002 * t, 0.5 + 0.9e-12 * t) for t in range(40)]
+    return table_model(knots + [(1.0, 0.3), (2.0, 0.0)])
+
+
+@pytest.mark.parametrize("model", [
+    UD, GAUSS, gaussian(cutoff_eps=0.1), log_normal(4.0, 3.0),
+    table_model([(0.0, 1.0), (1.0, 0.6), (2.0, 0.0)]), _creeping_table()],
+    ids=["unit_disk", "gaussian", "gaussian_eps01", "log_normal", "table3", "creeping"])
+def test_coin_brackets_hold_in_every_bin(model):
+    assert model.validation.ok
+    p = _params(2000.0, 0.0, model=model)
+    reach = p.r * model.cutoff
+    bound, scale, lo, hi = sampler._coin_brackets(model, p.r, sampler._COIN_BINS)
+    assert bound == reach * reach * (1.0 + 1e-9)
+    rng = np.random.default_rng(3)
+    # random separations in every bin, and the bin edges with their neighbours
+    k = np.repeat(np.arange(sampler._COIN_BINS), 64)
+    q = np.concatenate(((k + rng.uniform(0.0, 1.0, k.size)) / scale,
+                        np.arange(sampler._COIN_BINS + 1) / scale))
+    q = np.concatenate((q, np.nextafter(q, 0.0), np.nextafter(q, 1.0), [bound]))
+    angle = rng.uniform(0.0, 2.0 * math.pi, q.size)
+    dx, dy = np.sqrt(q) * np.cos(angle), np.sqrt(q) * np.sin(angle)
+    q = dx * dx + dy * dy
+    keep = q <= bound
+    dx, dy, q = dx[keep], dy[keep], q[keep]
+    b = (q * scale).astype(np.intp)
+    d = np.hypot(dx, dy)
+    gd = model.g(d / p.r)
+    assert np.all(gd <= hi[b])
+    assert np.all((lo[b] <= gd) & ((lo[b] < 0.0) | (d <= reach)))
+    # the bracket is tight: the exact test is left to about 0.1% of pairs
+    assert np.mean(hi[b] - np.maximum(lo[b], 0.0)) < 2e-3
+
+
 def test_build_graph_memory_is_bounded():
-    # the Gaussian's 3x3 candidate set at rho 2e4 is about 1e7 pairs; it
-    # is realized slice by slice, never held at once
-    p = _params(2e4, 0.0, model=GAUSS, seed=3)
-    pts = sample_points(p)
-    tracemalloc.start()
-    try:
-        build_graph(p, pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 200e6
+    # the Gaussian at rho 2e4 has about 4e6 candidate pairs, and the wide
+    # table at rho 5000 about 3e6 over 8 columns of cells; both are
+    # realized a group of columns and a slice at a time, never held at once
+    wide = table_model([(0.0, 1.0), (0.5, 0.008), (80.0, 0.008), (80.01, 0.0)])
+    for model, rho, limit in ((GAUSS, 2e4, 21e6), (wide, 5000.0, 10e6)):
+        p = _params(rho, 0.0, model=model, seed=3)
+        pts = sample_points(p)
+        tracemalloc.start()
+        try:
+            build_graph(p, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (model.kind, peak)
 
 
 def test_edge_probability_frequency():

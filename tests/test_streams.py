@@ -64,6 +64,20 @@ def test_pair_uniform_matches_array_and_is_order_canonical():
     assert streams.pair_uniform(key, 3, 8) == streams.pair_uniform(key, 3, 8)
 
 
+def test_point_words_give_pair_uniform():
+    # the first round of pair_uniform depends on i alone: computed once per
+    # point and gathered per pair, it gives the same coins bit for bit
+    key = streams.stream_key(99, 4, streams.TAG_EDGES)
+    words = streams.word_array(key, np.arange(3000))
+    rng = np.random.default_rng(2)
+    i = rng.integers(0, 2999, 2000)
+    j = i + 1 + rng.integers(0, 2999 - i)
+    arr = streams.unit_array(streams.word_array(words[i], j))
+    assert np.array_equal(arr, streams.pair_uniform_array(key, i, j))
+    for k in range(len(i)):
+        assert arr[k] == streams.pair_uniform(key, int(i[k]), int(j[k]))
+
+
 def test_pair_uniform_distinct_pairs_decorrelated():
     key = streams.stream_key(5, 5, streams.TAG_EDGES)
     n = 400
