@@ -52,8 +52,8 @@ def components(sample: NetworkSample) -> tuple[int, bool]:
     n = sample.n_points
     edges = sample.edges
     indptr = np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=n))))
-    graph = csr_matrix((np.ones(edges.shape[0], dtype=np.int8), edges[:, 1], indptr),
-                       shape=(n, n))
+    # float64 weights, as connected_components would copy any other dtype
+    graph = csr_matrix((np.ones(edges.shape[0]), edges[:, 1], indptr), shape=(n, n))
     count = int(connected_components(graph, directed=False, return_labels=False))
     return count, count <= 1
 

@@ -19,10 +19,10 @@ triangle lists every pair; there is no separate O(n^2) path.  Candidate
 pairs are realized in cell order and in slices of fixed size, so memory
 stays bounded for any density and kernel support.  A squared-distance
 filter with slack keeps a superset of the pairs in range, and each draws
-its coin u.  A per-trial table over bins of the squared distance brackets
-g between lo and hi: u < lo is an edge, u >= hi is none, and only the
-pairs in between (about 0.1%) take the exact hypot test and g.  Edges are
-sorted by the int64 key i * n + j.
+its coin u.  A table over bins of the squared distance, built once per
+kernel and r, brackets g between lo and hi: u < lo is an edge, u >= hi is
+none, and only the pairs in between (about 0.1%) take the exact hypot
+test and g.  Edges are sorted by the int64 key i * n + j.
 The coupled metric draws nothing of its own: its square graph is the
 torus graph less the wrapping edges.
 """
@@ -50,8 +50,8 @@ _COIN_BINS = 1024
 _G_SLACK = 1e-14
 
 # candidate pairs realized at once (a slice overshoots by at most one
-# source's run); the scratch memory grows with it, about 3.9 MB traced at
-# 2^15 and 6.4 MB at 2^16 on a Gaussian trial at rho 2000; 2^16 is no faster
+# source's run); the scratch memory grows with it, about 4.0 MB traced at
+# 2^15 and 7.3 MB at 2^16 on a Gaussian trial at rho 2000; 2^16 is no faster
 _SLICE_PAIRS = 1 << 15
 
 @dataclass(frozen=True)
