@@ -199,7 +199,7 @@ def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> flo
 
 
 def _grid_side(reach: float, n: int, torus: bool) -> int:
-    # cells of about _CELL_POINTS points, or a reach wide when that is
+    # cells of about _CELL_POINTS points, or about a reach wide when that is
     # narrower; more cells than points buys nothing.  The wrapped torus
     # scan needs 2k + 1 <= m for k = int(span) + 1, else one cell
     m = min(max(int(1.0 / reach), math.isqrt(n // _CELL_POINTS)), 2 * math.isqrt(n) + 1, 4096)
