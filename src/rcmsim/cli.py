@@ -36,6 +36,7 @@ parameters, 3 model validation failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -186,7 +187,12 @@ def build_model(spec) -> ConnectionModel:
              "table model needs exactly one of 'knots' or 'path'")
     if "path" in spec:
         _require(isinstance(spec["path"], str), "field 'path' must be a string")
-        return load_table(spec["path"], **kwargs)
+        try:
+            return load_table(spec["path"], **kwargs)
+        except OSError as e:
+            raise _IoFailure(f"cannot read table {spec['path']}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ModelError(f"table {spec['path']} is not UTF-8 text: {e}") from e
     knots = spec["knots"]
     _require(isinstance(knots, list) and knots, "field 'knots' must be a nonempty list")
     pairs = []
@@ -255,11 +261,14 @@ def load_config(path) -> CampaignConfig:
 
 def _read_json(path, what: str):
     """The parsed JSON document at `path`, which `what` names in errors:
-    _IoFailure when it cannot be read, ConfigError when it does not parse."""
+    _IoFailure when it cannot be read, ConfigError when it does not decode
+    or parse."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise _IoFailure(f"cannot read {what} {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{what} {path} is not text: {e}") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -273,84 +282,59 @@ class _IoFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 # campaign execution
 
-_WORKER_STATE: dict = {}
 
-
-def _init_worker(model, metric, seed):
-    _WORKER_STATE["model"] = model
-    _WORKER_STATE["metric"] = metric
-    _WORKER_STATE["seed"] = seed
-
-
-def _run_one(task):
-    cell_idx, rho, b, trial = task
-    model = _WORKER_STATE["model"]
-    metric = _WORKER_STATE["metric"]
-    seed = _WORKER_STATE["seed"]
+def _run_trial(model: ConnectionModel, metric: str, seed: int,
+               task: tuple[float, float, int]) -> TrialRecord:
+    rho, b, trial = task
     if metric == "coupled":
         params = SampleParams(rho, b, model, Metric.TORUS, seed, trial)
-        rec = coupled_statistics(couple_torus_to_square(params))
-    else:
-        params = SampleParams(rho, b, model, Metric(metric), seed, trial)
-        rec = trial_statistics(build_graph(params, sample_points(params)))
-    return cell_idx, rec
+        return coupled_statistics(couple_torus_to_square(params))
+    params = SampleParams(rho, b, model, Metric(metric), seed, trial)
+    return trial_statistics(build_graph(params, sample_points(params)))
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1
                  ) -> tuple[SweepSummary, list[TrialRecord], list[str]]:
     """Execute every (rho, b) cell; returns (summary, trial rows, warnings).
 
-    The trial rows come back sorted by (cell, trial), which together with
-    the counter-based sampler makes the output independent of the worker
-    count.
+    The rows are in task order, (cell, trial), from the serial loop and
+    from `Pool.map` alike; with the counter-based sampler the output is
+    independent of the worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    cells = []
-    for rho in config.rho_list:
-        for b in config.b_list:
-            cells.append((rho, b))
+    cells = [(rho, b) for rho in config.rho_list for b in config.b_list]
 
     warnings: list[str] = []
-    skipped: dict[int, str] = {}
-    tasks = []
+    reasons: list[str | None] = []  # why each cell is skipped, None if it runs
     metric = Metric.TORUS if config.metric == "coupled" else Metric(config.metric)
-    for idx, (rho, b) in enumerate(cells):
+    for rho, b in cells:
         try:
             SampleParams(rho, b, config.model, metric, config.master_seed, 0)
-            reason = None
+            reasons.append(None)
         except ParameterError as e:
-            reason = SKIP_REASON if math.log(rho) + b <= 0 else str(e)
-        if reason is None:
-            tasks.extend((idx, rho, b, t) for t in range(config.trials))
-        else:
-            skipped[idx] = reason
-            warnings.append(f"cell rho={rho:g} b={b:g} skipped: {reason}")
+            reasons.append(SKIP_REASON if math.log(rho) + b <= 0 else str(e))
+            warnings.append(f"cell rho={rho:g} b={b:g} skipped: {reasons[-1]}")
+    tasks = [(rho, b, t) for (rho, b), reason in zip(cells, reasons) if reason is None
+             for t in range(config.trials)]
 
-    init_args = (config.model, config.metric, config.master_seed)
+    run = functools.partial(_run_trial, config.model, config.metric, config.master_seed)
     if workers == 1 or not tasks:
-        _init_worker(*init_args)
-        results = [_run_one(t) for t in tasks]
+        rows = [run(t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
-        with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=init_args) as pool:
-            results = pool.map(_run_one, tasks, chunksize=chunk)
+        with multiprocessing.Pool(workers) as pool:
+            rows = pool.map(run, tasks, chunksize=chunk)
 
-    by_cell: dict[int, list[TrialRecord]] = {i: [] for i in range(len(cells))}
-    for cell_idx, rec in results:
-        by_cell[cell_idx].append(rec)
-
-    rows: list[TrialRecord] = []
     summaries: list[CellSummary] = []
-    for idx, (rho, b) in enumerate(cells):
-        if idx in skipped:
+    start = 0
+    for (rho, b), reason in zip(cells, reasons):
+        if reason is not None:
             summaries.append(CellSummary(rho=rho, b=b, metric=config.metric,
-                                         trials=0, skipped=True,
-                                         reason=skipped[idx]))
+                                         trials=0, skipped=True, reason=reason))
             continue
-        recs = sorted(by_cell[idx], key=lambda r: r.trial)
-        rows.extend(recs)
+        recs = rows[start:start + config.trials]
+        start += config.trials
         summaries.append(_summarize_cell(config, rho, b, recs, warnings))
     return SweepSummary(cells=tuple(summaries)), rows, warnings
 
@@ -507,9 +491,8 @@ def write_outputs(config: CampaignConfig, summary: SweepSummary,
 # subcommands
 
 
-def _cmd_simulate(args, force_coupled: bool = False) -> int:
-    over = {"metric": "coupled" if force_coupled else None,
-            "output_path": args.output, "format": args.format}
+def _cmd_simulate(args) -> int:
+    over = {"output_path": args.output, "format": args.format}
     config = replace(load_config(args.config),
                      **{k: v for k, v in over.items() if v is not None})
     summary, rows, warnings = run_campaign(config, workers=args.workers)
@@ -588,21 +571,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (output is identical for any value)")
-        p.add_argument("--output", default=None, help="override config output_path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="override config format")
-
     p_sim = sub.add_parser("simulate", help="run the campaign in a config file")
     p_sim.add_argument("config")
-    add_common(p_sim)
-
-    p_cpl = sub.add_parser("couple",
-                           help="run the campaign with the coupled torus/square metric")
-    p_cpl.add_argument("config")
-    add_common(p_cpl)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="worker processes (output is identical for any value)")
+    p_sim.add_argument("--output", default=None, help="override config output_path")
+    p_sim.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="override config format")
 
     p_th = sub.add_parser("theory", help="print quadrature predictions, no simulation")
     p_th.add_argument("--model", required=True,
@@ -622,8 +597,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "couple":
-            return _cmd_simulate(args, force_coupled=True)
         if args.command == "theory":
             return _cmd_theory(args)
         return _cmd_validate_model(args)

@@ -39,12 +39,8 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Same finalizer on a uint64 array. Multiplication wraps mod 2**64."""
-    return _mix64_inplace(np.array(z, dtype=np.uint64))
-
-
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """`mix64` on a uint64 array, in place; multiplication wraps mod 2**64."""
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(_M1)
@@ -99,11 +95,6 @@ def unit_array(h: np.ndarray) -> np.ndarray:
 def pair_uniform(key: int, i: int, j: int) -> float:
     """Uniform [0, 1) attached to the unordered point pair (i, j), i < j."""
     return _to_unit(_word(_word(key, i), j))
-
-
-def pair_uniform_array(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Vectorized `pair_uniform` over index arrays (elementwise i < j)."""
-    return unit_array(word_array(word_array(key, i), j))
 
 
 def poisson_sample(mean: float, key: int) -> int:

@@ -1,10 +1,12 @@
-"""The public surface: `rcmsim.__all__` and the names the benchmark uses.
+"""The public surface: `rcmsim.__all__`, the CLI subcommands and the names
+the benchmark uses.
 
 The benchmark harness under bench/ imports rcmsim but is not part of this
 suite, so removing a name it uses would break it unseen; this file pins
 the surface and checks the harness against it.
 """
 
+import argparse
 import ast
 import importlib.util
 from pathlib import Path
@@ -26,6 +28,8 @@ PUBLIC = [
     "validate_model",
 ]
 
+SUBCOMMANDS = ["simulate", "theory", "validate-model"]
+
 
 def _used(path: Path, module: str) -> set[str]:
     """Names a source file takes from `module`: `from module import x` and
@@ -45,6 +49,12 @@ def test_public_names_are_pinned():
     assert sorted(rcmsim.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(rcmsim, name) is not None, name
+
+
+def test_subcommands_are_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == SUBCOMMANDS
 
 
 def test_benchmark_uses_only_public_names():

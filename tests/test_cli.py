@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ def test_campaign_output_independent_of_workers(tmp_path):
     assert texts[0] == texts[1] == texts[2]
 
 
+def test_campaign_rows_follow_cells_at_any_worker_count(tmp_path):
+    # the middle cell is skipped; the rows of the live cells come back in
+    # config order with trials ascending, and the files do not depend on
+    # the worker count
+    files = []
+    for workers in (1, 2):
+        cfg = parse_config(_doc(tmp_path, rho_list=[150.0, 0.5, 200.0], trials=6,
+                                output_path=str(tmp_path / f"w{workers}.csv")))
+        summary, rows, _ = run_campaign(cfg, workers=workers)
+        assert [(r.rho, r.b, r.trial) for r in rows] == [
+            (rho, 0.0, t) for rho in (150.0, 200.0) for t in range(6)]
+        assert [c.trials for c in summary.cells] == [6, 0, 6]
+        assert summary.cells[1].skipped and summary.cells[1].reason == SKIP_REASON
+        files.append([Path(f).read_bytes() for f in write_outputs(cfg, summary, rows)])
+    assert files[0] == files[1]
+
+
 def test_campaign_rejects_bad_worker_count(tmp_path):
     cfg = parse_config(_doc(tmp_path))
     with pytest.raises(ConfigError):
@@ -358,13 +376,22 @@ def test_simulate_workers_flag_matches_serial(tmp_path):
     assert (tmp_path / "out.csv").read_text() == serial
 
 
-def test_couple_subcommand_forces_coupled(tmp_path):
-    path = _write_config(tmp_path, rho_list=[80.0], trials=4)
-    assert main(["couple", path]) == EXIT_OK
+def test_simulate_runs_coupled_config(tmp_path):
+    path = _write_config(tmp_path, metric="coupled", rho_list=[80.0], trials=4)
+    assert main(["simulate", path]) == EXIT_OK
     rows = parse_trials_csv((tmp_path / "out.csv").read_text())
+    assert len(rows) == 4
     assert all(r.metric == "coupled" for r in rows)
     assert all(r.isolated_boundary == r.isolated_square - r.isolated_torus
                for r in rows)
+
+
+def test_couple_is_not_a_subcommand(capsys):
+    # a coupled campaign is `simulate` on a config with metric "coupled"
+    with pytest.raises(SystemExit) as exc:
+        main(["couple", "config.json"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'couple'" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path):
@@ -406,6 +433,24 @@ def test_exit_codes(tmp_path):
     for eps in ("0.7", "-1", "0.5"):
         assert main(["theory", "--model", "unit_disk", *args,
                      f"--epsilon={eps}"]) == EXIT_CONFIG
+
+    # a config that is not text is a config error
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\xff\xfe\x00\x80 1.0 0.5\n")
+    assert main(["simulate", str(binary)]) == EXIT_CONFIG
+    assert main(["theory", "--model", str(binary), *args]) == EXIT_CONFIG
+
+    # a table `path` that cannot be read (missing, a directory) is an I/O
+    # failure and one that is not UTF-8 text a model failure, in every
+    # command that builds the kernel
+    for table, code in ((missing, EXIT_IO), (str(tmp_path), EXIT_IO),
+                        (str(binary), EXIT_MODEL)):
+        spec = {"kind": "table", "path": table}
+        model_file = tmp_path / "table_model.json"
+        model_file.write_text(json.dumps(spec))
+        assert main(["simulate", _write_config(tmp_path, model=spec)]) == code, table
+        assert main(["theory", "--model", str(model_file), *args]) == code, table
+        assert main(["validate-model", str(model_file)]) == code, table
 
 
 def test_rcm_seed_changes_output_through_main(tmp_path, monkeypatch):
