@@ -136,16 +136,17 @@ def connection_radius(C: float, rho: float, b: float) -> float:
     """Connection range sqrt((log rho + b) / (C rho)), natural log.
 
     Rejects rho <= 0, non-finite or non-positive C, and any (rho, b)
-    with log rho + b <= 0: below that scale the range model is meaningless.
+    with log rho + b <= 0 or not finite: below that scale the range model
+    is meaningless.  C * rho is never formed, as it overflows at large rho.
     """
     if not (math.isfinite(C) and C > 0.0):
         raise ParameterError(f"integral constant must be finite and positive, got {C}")
     if not (math.isfinite(rho) and rho > 0.0):
         raise ParameterError(f"density must be positive, got {rho}")
     s = math.log(rho) + b
-    if s <= 0.0:
-        raise ParameterError(f"log rho + b must be positive, got {s:.6g}")
-    return math.sqrt(s / (C * rho))
+    if not (math.isfinite(s) and s > 0.0):
+        raise ParameterError(f"log rho + b must be finite and positive, got {s:.6g}")
+    return math.sqrt(s / C / rho)
 
 
 def support_radius(model: ConnectionModel, rho: float, b: float) -> float:

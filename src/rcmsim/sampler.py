@@ -190,8 +190,9 @@ def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> flo
     g_raw(x) dx; zero for kernels whose truncation is definitional (unit
     disk, tables).
     """
-    r = _models.connection_radius(model.C, rho, b)
-    return 0.5 * rho * rho * r * r * model.C_error
+    _models.connection_radius(model.C, rho, b)  # checks rho and b
+    # rho r^2 = (log rho + b) / C, taken apart so that rho^2 r^2 cannot overflow
+    return 0.5 * rho * ((math.log(rho) + b) / model.C * model.C_error)
 
 
 # ---------------------------------------------------------------------------

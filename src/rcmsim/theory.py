@@ -18,7 +18,9 @@ r = sqrt((log rho + b) / (C rho)):
   pair correlation of isolation at separation d, which b2 integrates:
       (1 - g(d/r)) * exp(rho * int g(|x|/r) g(|x - d|/r) dx), the cross
       mass int g g closed form for the unit disk, one angular panel over
-      the lens of the cutoff discs for the Gaussian, else a 2-D rule.
+      the lens of the cutoff discs for the Gaussian, a radial rule over a
+      closed-form angular integral (incomplete elliptic integrals of the
+      second kind) for tables, and a 2-D rule for the log-normal.
   dependence bounds b1, b2 for the Poisson approximation of the torus
       isolated-node count, with neighborhood exponent epsilon in (0, 1/2);
       the total-variation bound assembles as
@@ -405,7 +407,7 @@ def _panels(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
     t, w = _rule(n)
     a = breaks[..., :-1, None]
     length = breaks[..., 1:, None] - a
-    shape = breaks.shape[:-1] + (-1,)
+    shape = breaks.shape[:-1] + ((breaks.shape[-1] - 1) * t.size,)
     return (a + length * t).reshape(shape), (length * w).reshape(shape)
 
 
@@ -436,16 +438,20 @@ def _cross_mass(model: ConnectionModel, s) -> np.ndarray:
 
 def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
     """int g(|y|) g(|y - s e_x|) dy over the plane, scaled units, for an
-    array of separations s at rule order n: 2 int u g(u) int_0^pi g(|y - s
-    e_x|) dphi du in polar coordinates.  Radial panels break at the radial
-    breaks of g, at s and where the circle of radius k about the second
-    center is tangent (|k - s|, k + s) for each kink k; angular ones where
-    |y - s e_x| crosses a k, taking in a block of radii only the k that one
-    of its circles crosses.  The unit disk's lens is closed form; the
-    Gaussian's e^{-|y|^2 - |y - s|^2} = e^{-s^2/2} e^{-2 |y - s/2|^2} leaves
+    array of separations s at rule order n: 2 int_0^cutoff u g(u) A(u, s) du
+    in polar coordinates, with A(u, s) = int_0^pi g(|y - s e_x|) dphi on the
+    circle |y| = u.  The unit disk's lens is closed form; the Gaussian's
+    e^{-|y|^2 - |y - s|^2} = e^{-s^2/2} e^{-2 |y - s/2|^2} leaves
     e^{-s^2/2} int_0^{pi/2} (1 - e^{-2 R^2}) dphi, one smooth panel, with
     R(phi) = sqrt(c^2 - (s/2)^2 sin^2 phi) - (s/2) cos phi where a ray from
-    the midpoint leaves the lens of the two cutoff discs (0 for s >= 2c)."""
+    the midpoint leaves the lens of the two cutoff discs (0 for s >= 2c).
+    For tables and the log-normal the radial rule runs on blocks of
+    separations, its panels broken at max(s - cutoff, 0), at s, at the
+    kinks k of g and where the circle of radius k about the second center
+    is tangent (|k - s|, k + s), and for the log-normal at its radial
+    breaks; the nodes of zero-width panels, where breaks coincide, are
+    dropped.  A is closed form for tables (`_table_arc`) and an angular
+    rule for the log-normal (`_log_normal_arc`)."""
     s = np.asarray(s, dtype=np.float64)
     cutoff = model.cutoff
     if model.kind == "unit_disk":
@@ -460,29 +466,74 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
             np.sqrt(cutoff * cutoff - (half * np.sin(phi))**2) + half * np.cos(phi))
         return np.exp(-0.5 * s * s) * (-np.expm1(-2.0 * lens * lens) @ w)
     k = np.array(_kinks(model))
-    radial = _radial_breaks(model)
+    table = model.kind == "table"
+    fixed = k if table else np.array(_radial_breaks(model))
     flat = s.reshape(-1)
     out = np.zeros(flat.size)
-    # one separation at a time, its radial nodes in blocks
-    step = max(1, _BLOCK // ((k.size + 1) * n))
-    for row, s1 in enumerate(flat):
-        lo = max(s1 - cutoff, 0.0)
-        if lo >= cutoff:
-            continue  # supports at least 2 cutoff apart
-        brk = np.unique(np.clip([lo, s1, *np.abs(k - s1), *(k + s1), *radial], lo, cutoff))
-        u_row, wu_row = _panels(brk, n)
-        for i in range(0, u_row.size, step):
-            u, wu = u_row[i:i + step, None], wu_row[i:i + step]
-            near = k[(k > np.min(np.abs(u - s1))) & (k < u[-1, 0] + s1)]
-            cos_k = np.divide(u * u + s1 * s1 - near * near, 2.0 * u * s1,
-                              out=np.ones((u.size, near.size)), where=u * s1 > 0.0)
-            ends = np.tile((0.0, math.pi), (u.size, 1))
-            phi, wphi = _panels(np.sort(np.hstack(
-                [ends, np.arccos(np.clip(cos_k, -1.0, 1.0))]), axis=1), n)
-            dist = np.sqrt(np.maximum(u * u + s1 * s1 - 2.0 * u * s1 * np.cos(phi), 0.0))
-            inner = 2.0 * np.sum(wphi * model.g(dist), axis=1)
-            out[row] += np.sum(wu * u[:, 0] * model.g(u[:, 0]) * inner)
+    live = np.flatnonzero(flat < 2.0 * cutoff)  # supports that overlap
+    # scratch per radial node: a table's crossed knots, the log-normal's
+    # 2n angular nodes
+    step = max(1, _BLOCK // ((2 * k.size + fixed.size + 1) * n * (k.size if table else 2 * n)))
+    for lo in range(0, live.size, step):
+        rows = live[lo:lo + step]
+        s1 = flat[rows, None]
+        start = np.maximum(s1 - cutoff, 0.0)
+        brk = np.hstack([start, s1, np.abs(k - s1), k + s1,
+                         np.broadcast_to(fixed, (s1.size, fixed.size))])
+        u, w = _panels(np.sort(np.minimum(np.maximum(brk, start), cutoff), axis=1), n)
+        row, col = np.nonzero(w)
+        u, w, sep = u[row, col], w[row, col], s1[row, 0]
+        arc = _table_arc(model, u, sep) if table else _log_normal_arc(model, u, sep, n)
+        out[rows] = 2.0 * np.bincount(row, w * u * model.g(u) * arc, minlength=rows.size)
     return out.reshape(s.shape)
+
+
+def _table_arc(model: ConnectionModel, u, s) -> np.ndarray:
+    """A(u, s) = int_0^pi g(d) dphi, d = |y - s e_x| on the circle |y| = u,
+    for a table in closed form.  With g = alpha_p + beta_p d on piece p and
+    alpha_P = beta_P = 0 beyond the cutoff x_P, A is the sum over p >= 1 of
+    (alpha_{p-1} - alpha_p) Phi_p + (beta_{p-1} - beta_p) F(Phi_p), where d
+    reaches x_p at the angle Phi_p and F(Phi) = int_0^Phi d dphi =
+    2 (u + s) [E(m) - E((pi - Phi) / 2 | m)], m = 4 u s / (u + s)^2.  A knot
+    at or below |u - s| has Phi_p = 0 and adds nothing; those at or beyond
+    u + s have Phi_p = pi and sum to the coefficients of the piece that
+    holds u + s.  So the incomplete integral, the costly part, is taken only
+    for the knots the circle crosses."""
+    from scipy.special import ellipe, ellipeinc
+
+    x, alpha, beta = _table_pieces(model)
+    alpha, beta = np.append(alpha, 0.0), np.append(beta, 0.0)
+    far = u + s
+    m = np.minimum(1.0, 4.0 * u * s / (far * far))
+    whole = ellipe(m)
+    held = np.searchsorted(x, far) - 1
+    out = math.pi * alpha[held] + 2.0 * far * beta[held] * whole
+    i, p = np.nonzero((np.abs(u - s)[:, None] < x[1:]) & (x[1:] < far[:, None]))
+    ui, si = u[i], s[i]
+    phi = np.arccos(np.clip((ui * ui + si * si - x[p + 1]**2) / (2.0 * ui * si), -1.0, 1.0))
+    part = 2.0 * far[i] * (whole[i] - ellipeinc(0.5 * (math.pi - phi), m[i]))
+    jumps = (alpha[p] - alpha[p + 1]) * phi + (beta[p] - beta[p + 1]) * part
+    return out + np.bincount(i, jumps, minlength=u.size)
+
+
+def _log_normal_arc(model: ConnectionModel, u, s, n: int) -> np.ndarray:
+    """A(u, s) of `_table_arc` for the log-normal, by the n-point rule on
+    [0, pi], broken where d crosses the cutoff on the circles that cross it."""
+
+    def rule(ends, u, s):
+        phi, w = _panels(ends, n)
+        dist = np.sqrt(np.maximum((u * u + s * s)[:, None]
+                                  - 2.0 * (u * s)[:, None] * np.cos(phi), 0.0))
+        return np.sum(w * model.g(dist), axis=1)
+
+    c = model.cutoff
+    hit = (np.abs(u - s) < c) & (c < u + s)
+    out = np.empty_like(u)
+    out[~hit] = rule(np.array([0.0, math.pi]), u[~hit], s[~hit])
+    u, s = u[hit], s[hit]
+    cut = np.arccos(np.clip((u * u + s * s - c * c) / (2.0 * u * s), -1.0, 1.0))
+    out[hit] = rule(np.stack([np.zeros_like(cut), cut, np.full_like(cut, math.pi)], axis=1), u, s)
+    return out
 
 
 def chen_stein_terms(model: ConnectionModel, rho: float, b: float,
@@ -508,7 +559,7 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
     eps = params.epsilon
     e_tor, _ = _expected_isolated_torus(model, rho, b)
     r = connection_radius(model.C, rho, b)
-    r2 = (math.log(rho) + b) / (model.C * rho)
+    r2 = (math.log(rho) + b) / model.C / rho  # C * rho overflows near rho 1e308
     b1 = 4.0 * math.pi * e_tor * e_tor * r2 ** (1.0 - eps)
 
     s_max = 2.0 * r ** (-eps)
@@ -518,12 +569,19 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
             "dependence disc exceeds half the torus period; increase rho or epsilon"
         )
     mass_scale = rho * r * r
+    # the prefactor rho^2 r^2 overflows past rho ~ 1e154, where the
+    # exponential underflows: its log goes into the exponent
+    log_scale = math.log(rho) + math.log(mass_scale)
     # 1 - g(s) breaks where g does.  The cross mass kinks where kink circles
     # about the two centers touch, at every sum and difference of two kinks
     # k; the sums with the cutoff, k + cutoff (2 cutoff ends the support),
     # are the strong ones, and the order doubling covers the rest.  The
     # wrapped pair at period - s kinks at the mirror images.
-    pts = (*_radial_breaks(model), *(k + model.cutoff for k in _kinks(model)))
+    # Past the cutoff 1 - g(s) jumps by g(cutoff), 1 for the unit disk, and
+    # the integrand falls off over a layer of width about 1 / (rho r^2):
+    # panels halve toward the cutoff, down to that width
+    layer = model.cutoff * (1.0 + 0.5 ** np.arange(2, math.log2(model.cutoff * mass_scale)))
+    pts = (*_radial_breaks(model), *(k + model.cutoff for k in _kinks(model)), *layer)
     pts = {q for p in pts for q in (p, period - p) if 0.0 < q < s_max}
     breaks = np.array(sorted({0.0, s_max, *pts}))
 
@@ -531,10 +589,10 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
         s, w = _panels(breaks, n)
         cross = _cross_mass_rule(model, s, n) + _cross_mass_rule(model, period - s, n)
         return w @ (2.0 * math.pi * s * (1.0 - model.g(s))
-                    * np.exp(-mass_scale * (2.0 * model.C - cross)))
+                    * np.exp(log_scale - mass_scale * (2.0 * model.C - cross)))
 
     value, err = _converged(integral, "dependence integral", _B2_REL_TOL)
-    return b1, rho * rho * r * r * float(value), rho * rho * r * r * err
+    return b1, float(value), err
 
 
 def chen_stein_tv_bound(b1: float, b2: float, b3: float, lam: float) -> float:

@@ -318,6 +318,40 @@ def mc_cross_mass(model, s, n_samples, seed):
     return area * float(vals.mean()), area * float(vals.std()) / math.sqrt(n_samples)
 
 
+def quad_cross_mass_table(model, s):
+    """int g(|y|) g(|y - s e_x|) dy of a table kernel by nested adaptive
+    quad in polar coordinates, 2 int_0^cutoff u g(u) int_0^pi g(d) dphi du
+    with d = sqrt(u^2 + s^2 - 2 u s cos phi).  Every knot crossing is
+    passed as a break point: to the inner integral the angles where d
+    crosses a knot, to the outer one the knots, s and the radii where a
+    knot circle about the second center touches the circle |y| = u
+    (|k - s| and k + s)."""
+    from scipy import integrate
+
+    cutoff = model.cutoff
+    knots = [k for k in model.radii if 0.0 < k < cutoff] + [cutoff]
+
+    def g(x):
+        return float(model.g(x))
+
+    def inner(u):
+        pts = [math.acos((u * u + s * s - k * k) / (2.0 * u * s))
+               for k in knots if abs(u - s) < k < u + s]
+        v, _ = integrate.quad(
+            lambda phi: g(math.sqrt(max(u * u + s * s - 2.0 * u * s * math.cos(phi), 0.0))),
+            0.0, math.pi, points=pts or None, epsabs=0.0, epsrel=1e-13, limit=200)
+        return v
+
+    lo = max(s - cutoff, 0.0)
+    if lo >= cutoff:
+        return 0.0
+    pts = sorted({q for k in knots for q in (k, abs(k - s), k + s)} | {s})
+    pts = [q for q in pts if lo < q < cutoff]
+    v, _ = integrate.quad(lambda u: u * g(u) * inner(u), lo, cutoff, points=pts or None,
+                          epsabs=0.0, epsrel=1e-12, limit=200)
+    return 2.0 * v
+
+
 def gaussian_b2(model, rho, b, epsilon):
     """Chen-Stein b2 of the truncated Gaussian by 1-D adaptive quad over the
     separation s, with the untruncated closed-form cross mass

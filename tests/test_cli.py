@@ -394,7 +394,7 @@ def test_couple_is_not_a_subcommand(capsys):
     assert "invalid choice: 'couple'" in capsys.readouterr().err
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["simulate", missing]) == EXIT_IO
 
@@ -433,6 +433,14 @@ def test_exit_codes(tmp_path):
     for eps in ("0.7", "-1", "0.5"):
         assert main(["theory", "--model", "unit_disk", *args,
                      f"--epsilon={eps}"]) == EXIT_CONFIG
+    # a NaN offset is refused, and at rho 1e308, where C * rho overflows,
+    # the range is still finite
+    assert main(["theory", "--model", "unit_disk", "--rho", "2000",
+                 "--b", "nan"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert main(["theory", "--model", "unit_disk", "--rho", "1e308",
+                 "--b", "0"]) == EXIT_OK
+    json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
 
     # a config that is not text is a config error
     binary = tmp_path / "binary.dat"
@@ -499,6 +507,23 @@ def test_theory_subcommand_at_extreme_offsets(capsys, rho, b):
     for key in ("expected_isolated_square", "expected_isolated_torus",
                 "boundary_excess", "chen_stein_b1", "chen_stein_b2"):
         assert math.isfinite(doc[key]) and doc[key] > 0.0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@pytest.mark.parametrize("rho", ["1e200", "1e300", "1e308"])
+@pytest.mark.parametrize("model", ["unit_disk", "gaussian"])
+def test_theory_subcommand_is_finite_at_huge_density(capsys, model, rho):
+    # rho^2 r^2 overflows past rho ~ 1e154, where exp(-rho r^2 (2C - X))
+    # underflows, and C rho near 1e308; none may leave an Infinity, a NaN
+    # or a b1 rounded to 0 in the output
+    assert main(["theory", "--model", model, "--rho", rho, "--b", "0"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert doc["chen_stein_b1"] > 0.0
+    assert math.isfinite(doc["chen_stein_b2"]) and doc["chen_stein_b2"] >= 0.0
+    assert 0.0 <= doc["quad_error_b2"] <= 1e-7 * doc["chen_stein_b2"]
 
 
 def test_theory_subcommand_reports_bound_failure(tmp_path, capsys):

@@ -23,7 +23,7 @@ from rcmsim.theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
                            tv_to_poisson)
 from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
                      mc_cross_mass, mc_disk_mass, mc_lens_area, mc_visible_mass,
-                     poisson_pmf_factorial, square_mean_dblquad,
+                     poisson_pmf_factorial, quad_cross_mass_table, square_mean_dblquad,
                      unit_disk_square_mean_edge)
 
 UD = unit_disk()
@@ -375,6 +375,28 @@ def test_cross_mass_tables_vs_mc(model, separations):
     for i, s in enumerate(separations):
         est, se = mc_cross_mass(model, s, 2_000_000, seed=300 + i)
         assert abs(got[i] - est) < 5.0 * se, (s, got[i], est, se)
+
+
+@pytest.mark.parametrize("model,separations", [
+    (TABLE3, (0.5, 1.0, 2.0, 3.0, 3.7)),
+    (TABLE5, (0.25, 0.5, 1.5, 2.5, 3.0, 3.5)),
+], ids=["table3", "table5"])
+def test_table_cross_mass_vs_nested_quad(model, separations):
+    # the closed-form angular integral against nested adaptive quad with
+    # every knot crossing marked
+    got = theory._cross_mass(model, np.array(separations))
+    for i, s in enumerate(separations):
+        assert got[i] == pytest.approx(quad_cross_mass_table(model, s), rel=1e-9), s
+
+
+@pytest.mark.parametrize("model,want", [(TABLE3, 0.11594822607274964),
+                                        (TABLE5, 0.12617330355832143)],
+                         ids=["table3", "table5"])
+def test_table_b2_pinned(model, want):
+    # the values of the 2-D radial x angular rule the closed form replaced
+    b1, b2, err = chen_stein_terms(model, 2000.0, 0.0, return_error=True)
+    assert b2 == pytest.approx(want, rel=1e-7)
+    assert 0.0 < err <= 1e-7 * b2
 
 
 def test_truncated_gaussian_cross_mass_vs_mc():
