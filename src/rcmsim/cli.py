@@ -391,7 +391,8 @@ def _summarize_cell(config: CampaignConfig, rho: float, b: float,
         theory_asymptotic_mean=None if report is None else report.asymptotic_mean,
         theory_prob_no_isolated=None if report is None else report.prob_no_isolated,
         theory_p_no_isolated=None if report is None else math.exp(-report.expected_isolated),
-        theory_mean_degree=None if report is None else report.mean_degree,
+        theory_mean_degree=None if report is None else (
+            report.mean_degree_square if theory_metric is Metric.SQUARE else report.mean_degree),
         theory_boundary_excess=None if report is None else report.boundary_excess,
         chen_stein_b1=b1, chen_stein_b2=b2,
         mean_boundary=mean_bnd, ci99_boundary=ci_bnd,
@@ -429,15 +430,18 @@ def parse_trials_csv(text: str) -> list[TrialRecord]:
         f = ln.split(",")
         if len(f) != len(TRIAL_COLUMNS):
             raise ConfigError(f"malformed trial row: {ln!r}")
-        out.append(TrialRecord(
-            rho=float(f[0]), b=float(f[1]), metric=f[2], trial=int(f[3]),
-            n_points=int(f[4]), n_edges=int(f[5]), isolated=int(f[6]),
-            n_components=int(f[7]), connected={"true": True, "false": False}[f[8]],
-            mean_degree=float(f[9]),
-            isolated_torus=int(f[10]) if f[10] else None,
-            isolated_square=int(f[11]) if f[11] else None,
-            isolated_boundary=int(f[12]) if f[12] else None,
-        ))
+        try:
+            out.append(TrialRecord(
+                rho=float(f[0]), b=float(f[1]), metric=f[2], trial=int(f[3]),
+                n_points=int(f[4]), n_edges=int(f[5]), isolated=int(f[6]),
+                n_components=int(f[7]), connected={"true": True, "false": False}[f[8]],
+                mean_degree=float(f[9]),
+                isolated_torus=int(f[10]) if f[10] else None,
+                isolated_square=int(f[11]) if f[11] else None,
+                isolated_boundary=int(f[12]) if f[12] else None,
+            ))
+        except (KeyError, ValueError):
+            raise ConfigError(f"malformed trial row: {ln!r}") from None
     return out
 
 

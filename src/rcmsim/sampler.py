@@ -15,14 +15,18 @@ column of cells and the k columns to its right, and in each column only
 the rows that come within r * cutoff of it (wrapping on the torus).  That
 is exhaustive because the truncated kernel vanishes beyond r * cutoff.
 When the torus cannot fit 2k + 1 columns the grid is a single cell, whose
-triangle lists every pair; there is no separate O(n^2) path.  Candidate
-pairs are realized in cell order and in slices of fixed size, so memory
-stays bounded for any density and kernel support.  A squared-distance
-filter with slack keeps a superset of the pairs in range, and each draws
-its coin u.  A table over bins of the squared distance, built once per
-kernel and r, brackets g between lo and hi: u < lo is an edge, u >= hi is
-none, and only the pairs in between (about 0.1%) take the exact hypot
-test and g.  Edges are sorted by the int64 key i * n + j.
+triangle lists every pair; there is no separate O(n^2) path.  Points are
+put in cell order by two stable radix passes on 16-bit cell coordinates,
+and each cell's start is a running count of the points before it.
+Candidate pairs are realized in cell order and in slices of fixed size,
+so memory stays bounded for any density and kernel support.  A
+squared-distance filter with slack keeps a superset of the pairs in
+range.  A table over bins of the squared distance, built once per kernel
+and r, brackets g between lo and hi.  Pairs in a bin where g is exactly 1
+are edges and draw no coin; each other pair draws its coin u: u < lo is
+an edge, u >= hi is none, and only the pairs in between (about 0.1%)
+take the exact hypot test and g.  Edges are sorted by the int64 key
+i * n + j.
 The coupled metric draws nothing of its own: its square graph is the
 torus graph less the wrapping edges.
 """
@@ -229,7 +233,10 @@ def _coin_brackets(model: _models.ConnectionModel, r: float,
     distances it is bounded by its values at the span's ends and at the
     knots inside: the bounds are a suffix max and a prefix min over bin
     edges and knots.  Edges are widened by 1e-9 relative, far above the
-    rounding between q, its bin and hypot; values by _G_SLACK."""
+    rounding between q, its bin and hypot; values by _G_SLACK, but for a
+    lower bound of exactly 1: validation keeps g <= 1, so g is 1 across
+    that bin and lo = 1 makes each of its pairs an edge, whatever its coin.
+    Such bins come first, as lo does not rise from one bin to the next."""
     reach = r * model.cutoff
     bound = reach * reach * (1.0 + 1e-9)
     scale = bins / bound
@@ -240,7 +247,8 @@ def _coin_brackets(model: _models.ConnectionModel, r: float,
     x = np.unique(np.concatenate((x_lo, x_hi, model.radii or (), [model.cutoff])))
     gx = model.g(x)
     hi = np.maximum.accumulate(gx[::-1])[::-1][np.searchsorted(x, x_lo)] + _G_SLACK
-    lo = np.minimum.accumulate(gx)[np.searchsorted(x, x_hi)] - _G_SLACK
+    lo = np.minimum.accumulate(gx)[np.searchsorted(x, x_hi)]
+    lo = np.where(lo >= 1.0, 1.0, lo - _G_SLACK)
     lo[d_hi > reach] = -1.0
     lo.flags.writeable = hi.flags.writeable = False
     return bound, scale, lo, hi
@@ -253,17 +261,22 @@ def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
     X, Y = (points[:, 0] - LO) * m, (points[:, 1] - LO) * m
     cx = np.clip(X.astype(np.int64), 0, m - 1)
     cy = np.clip(Y.astype(np.int64), 0, m - 1)
-    order = np.argsort(cx * m + cy, kind="stable")
-    runs = _scan_runs(X[order], Y[order], cx[order], cy[order], m,
+    # cell order (column, row, index) by two stable passes that numpy runs
+    # as radix sorts on 16-bit keys, rows first; m <= 4096 fits
+    by_row = np.argsort(cy.astype(np.uint16), kind="stable")
+    order = by_row[np.argsort(cx[by_row].astype(np.uint16), kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cx * m + cy, minlength=m * m))))
+    runs = _scan_runs(X[order], Y[order], cx[order], cy[order], starts, m,
                       params.r * params.model.cutoff, params.metric is Metric.TORUS)
     pair = np.sort(_expand_runs(params, points, order, key, runs))
     return np.column_stack((pair // n, pair % n))
 
 
 def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-               m: int, reach: float, torus: bool):
+               starts: np.ndarray, m: int, reach: float, torus: bool):
     """Groups of candidate runs over points sorted by cell, given in cell
-    units with their cell's column and row.  A group is as many columns as
+    units with their cell's column and row; cell c = column * m + row holds
+    the positions starts[c] .. starts[c + 1] - 1.  A group is as many columns as
     make about _SLICE_PAIRS candidates, so the runs held at once stay
     O(n + _SLICE_PAIRS) whatever k is.
 
@@ -275,7 +288,6 @@ def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
     within reach is a candidate exactly once.
     """
     n = X.size
-    starts = np.searchsorted(cx * m + cy, np.arange(m * m + 1))
     span = _span(reach, m)
     pos = np.arange(n)
     group, size = [], 0
@@ -319,8 +331,9 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
     time; returns edge keys lo * n + hi.
 
     The squared distance with slack keeps a superset of the pairs in
-    range.  Each one draws its coin u from its lower point's hash word,
-    computed once per point; u < lo of its bin is an edge, u >= hi is
+    range.  A pair in a bin where g is 1 (lo = 1) is an edge and draws no
+    coin; the others draw their coin u from the lower point's hash word,
+    computed once per point.  u < lo of its bin is an edge, u >= hi is
     none, and the pairs in between take the exact test: hypot,
     d <= reach and u < g(d / r).  The torus fold is odd and hypot even in
     the difference, so a pair's distance does not depend on its point
@@ -331,6 +344,7 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
     r, g = params.r, params.model.g
     reach = r * params.model.cutoff
     bound, scale, lo_bin, hi_bin = _coin_brackets(params.model, r, _COIN_BINS)
+    free = int(np.count_nonzero(lo_bin >= 1.0))  # the coin-free bins 0 .. free - 1
     words = streams.word_array(key, np.arange(n))
     parts = []
     for src, first, count in runs:
@@ -350,6 +364,11 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
             near = np.flatnonzero(q <= bound)
             i, j = i[near], order[pj[near]]
             lo, hi = np.minimum(i, j), np.maximum(i, j)
+            if free:
+                sure = q[near] * scale < free
+                parts.append(lo[sure] * n + hi[sure])
+                rest = ~sure
+                near, lo, hi = near[rest], lo[rest], hi[rest]
             u = streams.unit_array(streams.word_array(words[lo], hi))
             k = (q[near] * scale).astype(np.intp)
             connected = u < lo_bin[k]

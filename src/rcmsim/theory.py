@@ -27,6 +27,12 @@ r = sqrt((log rho + b) / (C rho)):
       (b1 + b2) * min(1, 1/lambda) + b3 * min(1, 1/sqrt(lambda)).
       b3 (the near-independence correction) is not evaluated here; callers
       pass 0, which makes the assembled bound optimistic by that term.
+  mean degree, square:
+      E[2M] / E[N] = rho int g(|z| / r) (1 - |z1|)(1 - |z2|) dz, where
+      (1 - |z1|)(1 - |z2|) is the area of the square that holds pairs a
+      displacement z apart, so (log rho + b) - 8 rho r^3 m2 + 2 rho r^4 m3
+      with the radial moments m_k = int_0^cutoff g(u) u^k du, closed form
+      for every kind.  On the torus the mean degree is log rho + b.
 
 Every quantity here, like the sampler, takes the scaled support
 r * cutoff to be at most 1/2 (`models.support_radius`) and raises
@@ -86,7 +92,9 @@ _BLOCK = 1 << 15
 class TheoryReport:
     """One cell's theory: the isolated-node means of both metrics with their
     quadrature errors, next to the large-density limits.  expected_isolated
-    is the mean of the report's metric."""
+    is the mean of the report's metric.  mean_degree is the limit
+    log rho + b, exact on the torus; mean_degree_square is the square's
+    mean degree at this density, E[2M] / E[N]."""
 
     expected_isolated: float
     expected_isolated_square: float
@@ -97,11 +105,13 @@ class TheoryReport:
     asymptotic_mean: float
     prob_no_isolated: float
     mean_degree: float
+    mean_degree_square: float
 
     def __post_init__(self):
         for name in ("expected_isolated", "expected_isolated_square", "quad_error_square",
                      "expected_isolated_torus", "quad_error_torus", "boundary_excess",
-                     "asymptotic_mean", "prob_no_isolated", "mean_degree"):
+                     "asymptotic_mean", "prob_no_isolated", "mean_degree",
+                     "mean_degree_square"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {v}")
@@ -148,6 +158,9 @@ def theory_report(model: ConnectionModel, rho: float, b: float,
     e_tor, err_tor = expected_isolated(model, rho, b, Metric.TORUS, return_error=True)
     e_sq, err_sq = expected_isolated(model, rho, b, Metric.SQUARE, return_error=True)
     mean = math.exp(-b)
+    scale = math.log(rho) + b
+    r = connection_radius(model.C, rho, b)
+    m2, m3 = _radial_moments(model)
     return TheoryReport(
         expected_isolated=e_tor if metric is Metric.TORUS else e_sq,
         expected_isolated_square=e_sq, quad_error_square=err_sq,
@@ -155,8 +168,40 @@ def theory_report(model: ConnectionModel, rho: float, b: float,
         boundary_excess=max(0.0, e_sq - e_tor),
         asymptotic_mean=mean,
         prob_no_isolated=math.exp(-mean),
-        mean_degree=math.log(rho) + b,
+        mean_degree=scale,
+        # rho r^2 = scale / C, taken apart so that rho r^3 cannot overflow
+        mean_degree_square=scale * (1.0 - r * (8.0 * m2 - 2.0 * r * m3) / model.C),
     )
+
+
+@lru_cache(maxsize=64)
+def _radial_moments(model: ConnectionModel) -> tuple[float, float]:
+    """(m2, m3), m_k = int_0^cutoff g(u) u^k du.  Gaussian: m2 =
+    sqrt(pi) erf(c) / 4 - c e^{-c^2} / 2, m3 = (1 - (1 + c^2) e^{-c^2}) / 2;
+    tables sum their linear pieces.  The log-normal, g = erfc(a ln u) / 2,
+    goes by parts in t = ln u as C does: with p = k + 1 and T = ln cutoff,
+    m_k = c^p g(c) / p + e^{p^2 / 4a^2} erfc(p / 2a - a T) / (2 p), where
+    the product e^{p^2 / 4a^2} erfc(p / 2a - a T) is formed as
+    erfcx(p / 2a - a T) e^{p T - a^2 T^2}, as its first factor alone
+    overflows for wide shadowing."""
+    c = model.cutoff
+    if model.kind == "unit_disk":
+        return 1.0 / 3.0, 0.25
+    if model.kind == "gaussian":
+        tail = math.exp(-c * c)
+        return (0.25 * math.sqrt(math.pi) * math.erf(c) - 0.5 * c * tail,
+                0.5 * (1.0 - (1.0 + c * c) * tail))
+    if model.kind == "table":
+        x, alpha, beta = _table_pieces(model)
+        return tuple(float(np.sum(alpha * np.diff(x**(k + 1)) / (k + 1)
+                                  + beta * np.diff(x**(k + 2)) / (k + 2))) for k in (2, 3))
+    from scipy.special import erfcx
+
+    a = 10.0 * model.eta / (math.sqrt(2.0) * model.sigma_db * math.log(10.0))
+    t = math.log(c)
+    return tuple(c**p * 0.5 * math.erfc(a * t) / p
+                 + float(erfcx(0.5 * p / a - a * t)) * math.exp(p * t - a * a * t * t) / (2.0 * p)
+                 for p in (3, 4))
 
 
 def _expected_isolated_torus(model: ConnectionModel, rho: float, b: float):

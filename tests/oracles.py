@@ -379,3 +379,27 @@ def gaussian_b2(model, rho, b, epsilon):
     v, _ = integrate.quad(f, 0.0, s_max, points=[p for p in (1.0, cutoff) if p < s_max],
                           epsabs=0.0, epsrel=1e-13, limit=200)
     return rho * rho * r * r * v
+
+
+def mc_square_pair_mass(model, r, n_samples, seed, chunk=1_000_000):
+    """Plain MC of int int g(|x - y| / r) dx dy over the unit square: x
+    uniform on the square and y = x + z, z uniform on the disc of radius
+    r * cutoff, counted only where y stays inside.  Returns (estimate,
+    standard error)."""
+    reach = r * model.cutoff
+    area = math.pi * reach * reach
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    for lo in range(0, n_samples, chunk):
+        k = min(chunk, n_samples - lo)
+        x = rng.random((k, 2))
+        rad = reach * np.sqrt(rng.random(k))
+        phi = 2.0 * math.pi * rng.random(k)
+        y = x + rad[:, None] * np.column_stack((np.cos(phi), np.sin(phi)))
+        inside = np.all((y >= 0.0) & (y <= 1.0), axis=1)
+        vals = area * model.g(rad / r) * inside
+        total += float(vals.sum())
+        total_sq += float(np.square(vals).sum())
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)

@@ -203,6 +203,17 @@ def test_criterion_7_mean_degree(dense_torus):
     _report(7, ok, f"mean degree {mean:.4f} vs log rho = {target:.4f} +/- 2%")
 
 
+def test_square_mean_degree_at_finite_density(coupled_sweep):
+    # the square's edge strips lose degree: at rho 4000 the finite-density
+    # value 8.114 lies inside the 99% interval of the simulated mean, the
+    # limit log rho = 8.294 far above it
+    summary, _ = coupled_sweep
+    cell = summary.cells[1]
+    assert cell.rho == 4000.0
+    assert abs(cell.mean_degree - cell.theory_mean_degree) <= cell.ci99_mean_degree
+    assert math.log(4000.0) - cell.mean_degree > 5.0 * cell.ci99_mean_degree
+
+
 def test_criterion_8_dependence_terms():
     theory._chen_stein.cache_clear()
     t0 = time.perf_counter()

@@ -196,12 +196,13 @@ def test_summary_and_theory_document_agree(tmp_path, capsys, model):
     # both print one record: the same floats, not merely close ones
     assert main(["theory", "--model", model, "--rho", "2000", "--b", "0.5"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    for metric, mean in (("torus", "expected_isolated_torus"),
-                         ("square", "expected_isolated_square")):
+    for metric, mean, degree in (("torus", "expected_isolated_torus", "mean_degree"),
+                                 ("square", "expected_isolated_square", "mean_degree_square")):
         cfg = parse_config(_doc(tmp_path, model={"kind": model}, metric=metric,
                                 rho_list=[2000.0], b_list=[0.5], trials=1))
         cell = run_campaign(cfg)[0].cells[0]
         assert cell.theory_isolated == doc[mean]
+        assert cell.theory_mean_degree == doc[degree]
         assert cell.theory_boundary_excess == doc["boundary_excess"]
         assert cell.chen_stein_b1 == doc["chen_stein_b1"]
         assert cell.chen_stein_b2 == doc["chen_stein_b2"]
@@ -285,6 +286,7 @@ def test_coupled_campaign_records_split(tmp_path):
     cell = summary.cells[0]
     assert cell.mean_boundary is not None and cell.ci99_boundary is not None
     assert cell.theory_isolated > 1.0  # square metric drives the theory column
+    assert cell.theory_mean_degree < math.log(150.0)  # and the mean degree
 
 
 # --- serialization ---
@@ -307,6 +309,11 @@ def test_trials_csv_rejects_foreign_tables():
     good = format_trials_csv([])
     with pytest.raises(ConfigError):
         parse_trials_csv(good + "1,2,3\n")
+    # a bad connected flag and a non-integer count
+    with pytest.raises(ConfigError):
+        parse_trials_csv(good + "100,0,torus,0,98,300,0,1,yes,6.1,,,\n")
+    with pytest.raises(ConfigError):
+        parse_trials_csv(good + "100,0,torus,0,98.5,300,0,1,true,6.1,,,\n")
 
 
 def test_summary_path_naming():
@@ -485,6 +492,7 @@ def test_theory_subcommand(tmp_path, capsys):
     assert 0.0 <= doc["quad_error_b2"] <= 1e-7 * doc["chen_stein_b2"]
     assert doc["truncation_bias"] == 0.0
     assert doc["mean_degree"] == pytest.approx(math.log(1000.0))
+    assert 0.9 * doc["mean_degree"] < doc["mean_degree_square"] < doc["mean_degree"]
 
     out = tmp_path / "theory.json"
     assert main(["theory", "--model", "gaussian", "--rho", "2000",

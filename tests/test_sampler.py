@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rcmsim import sampler
+from rcmsim import sampler, streams
 from rcmsim.errors import ModelError, ParameterError
 from rcmsim.geometry import Metric, distance_arrays
 from rcmsim.models import (connection_radius, gaussian, log_normal, table_model,
@@ -17,6 +17,8 @@ from oracles import brute_force_edges
 
 UD = unit_disk()
 GAUSS = gaussian()
+# g is 1 out to 0.5, inside a support of 2: its first coin bins need no coin
+PLATEAU = table_model([(0.0, 1.0), (0.5, 1.0), (1.0, 0.4), (2.0, 0.0)])
 
 
 def _params(rho, b, metric=Metric.TORUS, model=UD, seed=101, trial=0):
@@ -76,7 +78,7 @@ def test_point_count_moments():
 def test_grid_matches_brute_force_across_models_and_metrics():
     rng = np.random.default_rng(12)
     models = [UD, GAUSS, log_normal(6.0, 3.0),
-              table_model([(0.0, 1.0), (0.5, 0.7), (1.5, 0.1), (2.5, 0.0)])]
+              table_model([(0.0, 1.0), (0.5, 0.7), (1.5, 0.1), (2.5, 0.0)]), PLATEAU]
     for case in range(60):
         rho = float(rng.uniform(5.0, 250.0))
         b = float(rng.uniform(-0.5, 1.5))
@@ -148,6 +150,39 @@ def test_wide_scan_matches_brute_force(metric):
     assert np.array_equal(build_graph(p, pts).edges, brute_force_edges(p, pts))
 
 
+@pytest.mark.parametrize("metric", [Metric.TORUS, Metric.SQUARE])
+def test_cell_order_past_16_bit_cell_ids(metric):
+    # a 300 x 300 grid numbers its cells past 2^16 while each cell
+    # coordinate fits 16 bits; real trials reach m > 256 only above rho 3e5
+    p = _params(2000.0, 0.0, metric=metric, seed=12)
+    pts = sample_points(p)
+    key = streams.stream_key(p.master_seed, p.trial_index, streams.TAG_EDGES)
+    assert np.array_equal(sampler._grid_edges(p, pts, key, 300),
+                          build_graph(p, pts, exact=True).edges)
+
+
+@pytest.mark.parametrize("model", [UD, GAUSS], ids=["unit_disk", "gaussian"])
+def test_pair_coins_drawn(model, monkeypatch):
+    # the unit disk's pairs in range are edges without a coin, but for the
+    # last bins that reach past r; the Gaussian draws one per pair in range
+    drawn = []
+    word_array = streams.word_array
+
+    def counting(key, counters):
+        if np.ndim(key):
+            drawn.append(np.size(counters))
+        return word_array(key, counters)
+
+    p = _params(2000.0, 0.0, model=model, seed=14)
+    pts = sample_points(p)
+    monkeypatch.setattr(streams, "word_array", counting)
+    n_edges = build_graph(p, pts).n_edges
+    if model is UD:
+        assert sum(drawn) <= 0.01 * n_edges
+    else:
+        assert sum(drawn) >= n_edges
+
+
 def test_tiny_slices_match_default_slices(monkeypatch):
     # slices far smaller than one source's run of candidates give every
     # run a slice of its own and leave some slices empty
@@ -184,8 +219,9 @@ def _creeping_table():
 
 @pytest.mark.parametrize("model", [
     UD, GAUSS, gaussian(cutoff_eps=0.1), log_normal(4.0, 3.0),
-    table_model([(0.0, 1.0), (1.0, 0.6), (2.0, 0.0)]), _creeping_table()],
-    ids=["unit_disk", "gaussian", "gaussian_eps01", "log_normal", "table3", "creeping"])
+    table_model([(0.0, 1.0), (1.0, 0.6), (2.0, 0.0)]), _creeping_table(), PLATEAU],
+    ids=["unit_disk", "gaussian", "gaussian_eps01", "log_normal", "table3", "creeping",
+         "plateau"])
 def test_coin_brackets_hold_in_every_bin(model):
     assert model.validation.ok
     p = _params(2000.0, 0.0, model=model)
@@ -210,6 +246,11 @@ def test_coin_brackets_hold_in_every_bin(model):
     assert np.all((lo[b] <= gd) & ((lo[b] < 0.0) | (d <= reach)))
     # the bracket is tight: the exact test is left to about 0.1% of pairs
     assert np.mean(hi[b] - np.maximum(lo[b], 0.0)) < 2e-3
+    # bins with lo = 1 settle their pairs as edges without a coin: only
+    # where g is exactly 1 across the bin
+    free = lo[b] >= 1.0
+    assert free.any() == (model in (UD, PLATEAU))
+    assert np.all(gd[free] == 1.0)
 
 
 def test_build_graph_memory_is_bounded():

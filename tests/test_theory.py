@@ -22,9 +22,9 @@ from rcmsim.theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
                            chen_stein_tv_bound, expected_isolated, theory_report,
                            tv_to_poisson)
 from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
-                     mc_cross_mass, mc_disk_mass, mc_lens_area, mc_visible_mass,
-                     poisson_pmf_factorial, quad_cross_mass_table, square_mean_dblquad,
-                     unit_disk_square_mean_edge)
+                     mc_cross_mass, mc_disk_mass, mc_lens_area, mc_square_pair_mass,
+                     mc_visible_mass, poisson_pmf_factorial, quad_cross_mass_table,
+                     square_mean_dblquad, unit_disk_square_mean_edge)
 
 UD = unit_disk()
 GAUSS = gaussian()
@@ -706,6 +706,24 @@ def test_asymptotic_report_fields():
         assert rep.prob_no_isolated == pytest.approx(math.exp(-math.exp(-0.5)))
         assert rep.mean_degree == pytest.approx(math.log(1e3) + 0.5)
 
+
+@pytest.mark.parametrize("model, rho", [
+    (UD, 200.0), (GAUSS, 1000.0), (log_normal(4.0, 3.0), 1000.0),
+    (table_model([(0.0, 1.0), (0.5, 1.0), (1.0, 0.4), (2.0, 0.0)]), 500.0)],
+    ids=["unit_disk", "gaussian", "log_normal", "plateau"])
+def test_square_mean_degree_vs_mc(model, rho):
+    # E[2M] / E[N] on the square is rho times the pair mass over the
+    # square; the edge strips put it more than ten standard errors below
+    # the limit log rho + b
+    b = 0.5
+    rep = theory_report(model, rho, b, Metric.SQUARE)
+    r = connection_radius(model.C, rho, b)
+    mass, se = mc_square_pair_mass(model, r, 4_000_000, seed=31)
+    assert abs(rep.mean_degree_square - rho * mass) <= 5.0 * rho * se
+    assert rep.mean_degree - rep.mean_degree_square > 10.0 * rho * se
+    assert rep.mean_degree == pytest.approx(math.log(rho) + b)
+
+
 def test_wide_support_raises_on_both_metrics():
     # r * cutoff = 0.90: the square refuses the support as the torus does
     # (test_torus_refuses_support_wider_than_half_the_period), so no
@@ -730,7 +748,8 @@ def test_report_validation():
     fields = dict(expected_isolated=1.0, expected_isolated_square=1.5,
                   quad_error_square=0.0, expected_isolated_torus=1.0,
                   quad_error_torus=0.0, boundary_excess=0.5,
-                  asymptotic_mean=1.0, prob_no_isolated=0.5, mean_degree=1.0)
+                  asymptotic_mean=1.0, prob_no_isolated=0.5, mean_degree=1.0,
+                  mean_degree_square=0.9)
     TheoryReport(**fields)
     TheoryReport(**{**fields, "prob_no_isolated": 1.0})
     with pytest.raises(ParameterError):
