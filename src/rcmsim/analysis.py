@@ -1,4 +1,8 @@
-"""Per-trial graph statistics: isolation, components, degrees."""
+"""Per-trial graph statistics: isolation, components, degrees.
+
+The statistics of a batch of trials stacked by the sampler come from one
+pass over the stack; a single graph is the batch of one trial.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sampler import CoupledSample, NetworkSample
+from .sampler import CoupledSample, NetworkSample, SampleParams
 
 
 @dataclass(frozen=True)
@@ -35,53 +39,80 @@ class TrialRecord:
 
 def isolated_count(sample: NetworkSample) -> int:
     """Number of degree-zero nodes."""
-    return int(np.count_nonzero(sample.degrees() == 0))
+    return int(_isolated(np.zeros(sample.n_points, dtype=np.intp), sample.edges, 1)[0])
 
 
 def components(sample: NetworkSample) -> tuple[int, bool]:
     """(number of connected components, whether the graph is connected).
 
-    Empty and singleton graphs count as connected.  The CSR adjacency is
-    read straight off the edge list, which relies on the NetworkSample
-    contract: edges sorted lexicographically with i < j, so row i's
-    neighbours are one sorted slice of edges[:, 1].
+    Empty and singleton graphs count as connected.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = sample.n_points
-    edges = sample.edges
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=n))))
-    # float64 weights, as connected_components would copy any other dtype
-    graph = csr_matrix((np.ones(edges.shape[0]), edges[:, 1], indptr), shape=(n, n))
-    count = int(connected_components(graph, directed=False, return_labels=False))
+    count = int(_components(np.zeros(sample.n_points, dtype=np.intp), sample.edges, 1)[0])
     return count, count <= 1
 
 
 def trial_statistics(sample: NetworkSample) -> TrialRecord:
     """Assemble the per-trial record for a plain (uncoupled) sample."""
-    n = sample.n_points
-    m = sample.n_edges
-    n_components, connected = components(sample)
-    return TrialRecord(
-        rho=sample.params.rho,
-        b=sample.params.b,
-        metric=sample.params.metric.value,
-        trial=sample.params.trial_index,
-        n_points=n,
-        n_edges=m,
-        isolated=isolated_count(sample),
-        n_components=n_components,
-        connected=connected,
-        mean_degree=(2.0 * m / n) if n else 0.0,
-    )
+    return stack_records(sample.params, np.array([0, sample.n_points]), sample.edges)[0]
 
 
 def coupled_statistics(coupled: CoupledSample) -> TrialRecord:
     """Record for a coupled trial: square-graph stats plus the isolation
     split across the two metrics."""
-    base = trial_statistics(coupled.square_sample())
-    iso_t = isolated_count(coupled.torus_sample())
-    return replace(base, metric="coupled", isolated_torus=iso_t,
-                   isolated_square=base.isolated,
-                   isolated_boundary=base.isolated - iso_t)
+    return stack_records(coupled.params, np.array([0, coupled.n_points]),
+                         coupled.square_edges, coupled.torus_edges)[0]
+
+
+def stack_records(params: SampleParams, offsets: np.ndarray, edges: np.ndarray,
+                  torus_edges: np.ndarray | None = None) -> list[TrialRecord]:
+    """Records of the trials params.trial_index, ... stacked as
+    sampler.stack_points stacks them, trial k on the rows offsets[k] ..
+    offsets[k + 1] - 1, with edges over the stacked rows as
+    sampler.stack_edges gives them.  With torus_edges the trials are
+    coupled: edges is the square graph, and the records split its isolated
+    nodes across the two metrics."""
+    n_points = np.diff(offsets)
+    trials = n_points.size
+    trial = np.repeat(np.arange(trials), n_points)  # each node's trial
+    n_edges = np.bincount(trial[edges[:, 0]], minlength=trials).tolist()
+    isolated = _isolated(trial, edges, trials).tolist()
+    n_components = _components(trial, edges, trials).tolist()
+    records = []
+    for k, n in enumerate(n_points.tolist()):
+        m, c = n_edges[k], n_components[k]
+        records.append(TrialRecord(
+            rho=params.rho, b=params.b, metric=params.metric.value,
+            trial=params.trial_index + k, n_points=n, n_edges=m, isolated=isolated[k],
+            n_components=c, connected=c <= 1, mean_degree=(2.0 * m / n) if n else 0.0))
+    if torus_edges is None:
+        return records
+    return [replace(rec, metric="coupled", isolated_torus=iso_t,
+                    isolated_square=rec.isolated, isolated_boundary=rec.isolated - iso_t)
+            for rec, iso_t in zip(records, _isolated(trial, torus_edges, trials).tolist())]
+
+
+def _isolated(trial: np.ndarray, edges: np.ndarray, trials: int) -> np.ndarray:
+    """Degree-zero nodes of each of `trials` stacked trials, node i in
+    trial[i]."""
+    degree = np.bincount(edges.ravel(), minlength=trial.size)
+    return np.bincount(trial[degree == 0], minlength=trials)
+
+
+def _components(trial: np.ndarray, edges: np.ndarray, trials: int) -> np.ndarray:
+    """Connected components of each of `trials` stacked trials, node i in
+    trial[i], from one connected_components call over their
+    block-diagonal union.  The CSR adjacency is read straight off the edge
+    list, sorted lexicographically with i < j, so row i's neighbours are
+    one sorted slice of edges[:, 1].  A component lies in one trial, which
+    owns it; an empty trial owns none."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = trial.size
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=n))))
+    # float64 weights, as connected_components would copy any other dtype
+    graph = csr_matrix((np.ones(edges.shape[0]), edges[:, 1], indptr), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    owner = np.empty(count, dtype=np.intp)
+    owner[labels] = trial
+    return np.bincount(owner, minlength=trials)

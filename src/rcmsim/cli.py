@@ -47,13 +47,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import TrialRecord, coupled_statistics, trial_statistics
+from .analysis import TrialRecord, stack_records
 from .errors import ConfigError, ModelError, ParameterError, QuadratureError, RcmError
 from .geometry import Metric
 from .models import (ConnectionModel, gaussian, load_table, log_normal,
                      table_model, unit_disk)
-from .sampler import (SampleParams, build_graph, couple_torus_to_square,
-                      sample_points, truncation_bias)
+from .sampler import (SampleParams, stack_edges, stack_points, truncation_bias,
+                      unwrapped)
 from .theory import (ChenSteinParams, chen_stein_terms, theory_report,
                      tv_to_poisson)
 
@@ -61,6 +61,9 @@ SEED_ENV = "RCM_SEED"
 SKIP_REASON = "log rho + b <= 0"
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
+# expected points per batch of a cell's trials: 8 trials at rho 2000, 4 at
+# 4000; a bigger batch saves little more per trial and holds more memory
+_BATCH_POINTS = 1 << 14
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -283,23 +286,31 @@ class _IoFailure(RuntimeError):
 # campaign execution
 
 
-def _run_trial(model: ConnectionModel, metric: str, seed: int,
-               task: tuple[float, float, int]) -> TrialRecord:
-    rho, b, trial = task
-    if metric == "coupled":
-        params = SampleParams(rho, b, model, Metric.TORUS, seed, trial)
-        return coupled_statistics(couple_torus_to_square(params))
-    params = SampleParams(rho, b, model, Metric(metric), seed, trial)
-    return trial_statistics(build_graph(params, sample_points(params)))
+def _run_trials(model: ConnectionModel, metric: str, seed: int,
+                task: tuple[float, float, int, int]) -> list[TrialRecord]:
+    """The records of the trials start .. stop - 1 of the cell (rho, b),
+    realized as one batch: one sampler pass and one components call."""
+    rho, b, start, stop = task
+    coupled = metric == "coupled"
+    params = SampleParams(rho, b, model, Metric.TORUS if coupled else Metric(metric),
+                          seed, start)
+    points, offsets = stack_points(params, stop - start)
+    edges = stack_edges(params, points, offsets)
+    if coupled:
+        return stack_records(params, offsets, edges[unwrapped(params, points, edges)], edges)
+    return stack_records(params, offsets, edges)
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1
                  ) -> tuple[SweepSummary, list[TrialRecord], list[str]]:
     """Execute every (rho, b) cell; returns (summary, trial rows, warnings).
 
-    The rows are in task order, (cell, trial), from the serial loop and
-    from `Pool.map` alike; with the counter-based sampler the output is
-    independent of the worker count.
+    A cell's trials run in batches of about _BATCH_POINTS expected points;
+    with a pool a batch also holds at most one eighth of a worker's share
+    of the trials, for load balance.  The rows are in task order, (cell,
+    trial), from the serial loop and from `Pool.map` alike; with the
+    counter-based sampler the output is independent of the worker count
+    and the batch size.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -315,16 +326,21 @@ def run_campaign(config: CampaignConfig, workers: int = 1
         except ParameterError as e:
             reasons.append(SKIP_REASON if math.log(rho) + b <= 0 else str(e))
             warnings.append(f"cell rho={rho:g} b={b:g} skipped: {reasons[-1]}")
-    tasks = [(rho, b, t) for (rho, b), reason in zip(cells, reasons) if reason is None
-             for t in range(config.trials)]
+    trials = config.trials
+    cap = reasons.count(None) * trials // (workers * 8) if workers > 1 else trials
+    tasks = []
+    for (rho, b), reason in zip(cells, reasons):
+        if reason is None:
+            size = max(1, min(cap, int(_BATCH_POINTS / max(rho, 1.0))))
+            tasks += [(rho, b, t, min(t + size, trials)) for t in range(0, trials, size)]
 
-    run = functools.partial(_run_trial, config.model, config.metric, config.master_seed)
+    run = functools.partial(_run_trials, config.model, config.metric, config.master_seed)
     if workers == 1 or not tasks:
-        rows = [run(t) for t in tasks]
+        batches = [run(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(run, tasks, chunksize=chunk)
+            batches = pool.map(run, tasks, chunksize=1)
+    rows = [rec for batch in batches for rec in batch]
 
     summaries: list[CellSummary] = []
     start = 0

@@ -29,6 +29,13 @@ take the exact hypot test and g.  Edges are sorted by the int64 key
 i * n + j.
 The coupled metric draws nothing of its own: its square graph is the
 torus graph less the wrapping edges.
+
+A batch of trials of one (rho, b) runs as one stack: stack_points puts
+their points in trial order, and stack_edges gives the grid a block of m
+columns per trial, so each point scans only its own trial's cells with
+its own wrap, and draws its coins from its own trial's key and indices.
+One sort of the keys over the stacked rows puts each trial's edges in a
+block.  sample_points and build_graph are the stack of one trial.
 """
 
 from __future__ import annotations
@@ -54,9 +61,10 @@ _COIN_BINS = 1024
 _G_SLACK = 1e-14
 
 # candidate pairs realized at once (a slice overshoots by at most one
-# source's run); the scratch memory grows with it, about 4.0 MB traced at
-# 2^15 and 7.3 MB at 2^16 on a Gaussian trial at rho 2000; 2^16 is no faster
-_SLICE_PAIRS = 1 << 15
+# source's run); the scratch memory grows with it, about 2.2 MB traced at
+# 2^14 and 3.9 MB at 2^15 on a Gaussian trial at rho 2000, whose graph
+# takes as long at either size; 2^16 (7.3 MB) is no faster
+_SLICE_PAIRS = 1 << 14
 
 @dataclass(frozen=True)
 class SampleParams:
@@ -135,13 +143,21 @@ class CoupledSample:
 
 def sample_points(params: SampleParams) -> np.ndarray:
     """Poisson(rho) many uniform points on the unit cell, shape (n, 2)."""
-    key_n = streams.stream_key(params.master_seed, params.trial_index,
-                               streams.TAG_POINT_COUNT)
-    n = streams.poisson_sample(params.rho, key_n)
-    key_xy = streams.stream_key(params.master_seed, params.trial_index,
-                                streams.TAG_POINT_COORDS)
-    u = streams.uniform_array(key_xy, np.arange(2 * n, dtype=np.uint64))
-    return u.reshape(n, 2) + LO
+    return stack_points(params, 1)[0]
+
+
+def stack_points(params: SampleParams, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the trials params.trial_index, ..., + trials - 1,
+    stacked in trial order, and their offsets: trial k holds the rows
+    offsets[k] .. offsets[k + 1] - 1, drawn as sample_points draws them."""
+    counts = np.array([streams.poisson_sample(params.rho, key) for key in
+                       _trial_keys(params, trials, streams.TAG_POINT_COUNT).tolist()],
+                      dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    keys = _trial_keys(params, trials, streams.TAG_POINT_COORDS)
+    # each trial counts its coordinates from 0
+    u = streams.uniform_array(np.repeat(keys, 2 * counts), _local_index(2 * offsets))
+    return u.reshape(-1, 2) + LO, offsets
 
 
 def build_graph(params: SampleParams, points: np.ndarray,
@@ -159,11 +175,20 @@ def build_graph(params: SampleParams, points: np.ndarray,
         raise ParameterError(f"points must have shape (n, 2), got {points.shape}")
     if points.size and (points.min() < LO or points.max() >= -LO):
         raise ParameterError("points outside the unit cell")
-    key = streams.stream_key(params.master_seed, params.trial_index,
-                             streams.TAG_EDGES)
-    m = 1 if exact else _grid_side(params.r * params.model.cutoff, points.shape[0],
-                                   params.metric is Metric.TORUS)
-    return NetworkSample(params, points, _grid_edges(params, points, key, m))
+    offsets = np.array([0, points.shape[0]])
+    edges = (_grid_edges(params, points, offsets, 1) if exact
+             else stack_edges(params, points, offsets))
+    return NetworkSample(params, points, edges)
+
+
+def stack_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The edges of the trials that stack_points stacks, as build_graph
+    realizes each of them, over the stacked rows and sorted, so trial k's
+    edges come k-th.  The trials share one grid side, from their mean
+    number of points."""
+    m = _grid_side(params.r * params.model.cutoff, points.shape[0] // (offsets.size - 1),
+                   params.metric is Metric.TORUS)
+    return _grid_edges(params, points, offsets, m)
 
 
 def couple_torus_to_square(params: SampleParams) -> CoupledSample:
@@ -181,10 +206,16 @@ def couple_torus_to_square(params: SampleParams) -> CoupledSample:
         raise ParameterError("coupling starts from a torus-metric SampleParams")
     points = sample_points(params)
     edges = build_graph(params, points).edges
-    pa, pb = points[edges[:, 0]], points[edges[:, 1]]
-    keep = (distance_arrays(Metric.SQUARE, pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
-            <= params.r * params.model.cutoff)
+    keep = unwrapped(params, points, edges)
     return CoupledSample(params, points, edges, edges[keep], edges[~keep])
+
+
+def unwrapped(params: SampleParams, points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Mask of the torus edges that do not wrap: those within r * cutoff
+    in the square metric."""
+    pa, pb = points[edges[:, 0]], points[edges[:, 1]]
+    return (distance_arrays(Metric.SQUARE, pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
+            <= params.r * params.model.cutoff)
 
 
 def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> float:
@@ -254,35 +285,59 @@ def _coin_brackets(model: _models.ConnectionModel, r: float,
     return bound, scale, lo, hi
 
 
-def _grid_edges(params: SampleParams, points: np.ndarray, key: int,
+def _trial_keys(params: SampleParams, trials: int, tag: int) -> np.ndarray:
+    # the keys of stream `tag` of the trials params.trial_index, ...
+    first = params.trial_index
+    return np.array([streams.stream_key(params.master_seed, t, tag)
+                     for t in range(first, first + trials)], dtype=np.uint64)
+
+
+def _local_index(offsets: np.ndarray) -> np.ndarray:
+    # each position's index within its segment offsets[k] .. offsets[k + 1] - 1
+    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+
+
+def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray,
                 m: int) -> np.ndarray:
-    """Edges over an m x m bucket grid, sorted lexicographically."""
-    n = points.shape[0]
+    """Edges of stacked trials over an m x m bucket grid per trial, trial k
+    holding the rows offsets[k] .. offsets[k + 1] - 1; sorted
+    lexicographically over the stacked rows."""
+    n, trials = points.shape[0], offsets.size - 1
     X, Y = (points[:, 0] - LO) * m, (points[:, 1] - LO) * m
     cx = np.clip(X.astype(np.int64), 0, m - 1)
     cy = np.clip(Y.astype(np.int64), 0, m - 1)
-    # cell order (column, row, index) by two stable passes that numpy runs
-    # as radix sorts on 16-bit keys, rows first; m <= 4096 fits
+    # the stacked grid's column tc = t0 + cx, with t0 = trial * m; cell
+    # order (tc, row, index) by two stable passes that numpy runs as radix
+    # sorts on 16-bit keys, rows first.  m <= 4096, and tc fits 16 bits in
+    # every batch a campaign makes; wider keys sort the same, only slower
+    t0 = np.repeat(np.arange(0, trials * m, m), np.diff(offsets))
+    tc = t0 + cx
     by_row = np.argsort(cy.astype(np.uint16), kind="stable")
-    order = by_row[np.argsort(cx[by_row].astype(np.uint16), kind="stable")]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(cx * m + cy, minlength=m * m))))
-    runs = _scan_runs(X[order], Y[order], cx[order], cy[order], starts, m,
+    order = by_row[np.argsort(tc[by_row].astype(np.min_scalar_type(trials * m - 1)),
+                              kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(tc * m + cy,
+                                                        minlength=trials * m * m))))
+    runs = _scan_runs(X[order], Y[order], cx[order], cy[order], t0[order], starts, m,
                       params.r * params.model.cutoff, params.metric is Metric.TORUS)
-    pair = np.sort(_expand_runs(params, points, order, key, runs))
+    local = _local_index(offsets)
+    keys = _trial_keys(params, trials, streams.TAG_EDGES)
+    words = streams.word_array(np.repeat(keys, np.diff(offsets)), local)
+    pair = np.sort(_expand_runs(params, points, order, words, local, runs))
     return np.column_stack((pair // n, pair % n))
 
 
 def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-               starts: np.ndarray, m: int, reach: float, torus: bool):
+               t0: np.ndarray, starts: np.ndarray, m: int, reach: float, torus: bool):
     """Groups of candidate runs over points sorted by cell, given in cell
-    units with their cell's column and row; cell c = column * m + row holds
-    the positions starts[c] .. starts[c + 1] - 1.  A group is as many columns as
+    units with their cell's column and row, and their trial's first column
+    t0 = trial * m of the stacked grid; cell c = (t0 + column) * m + row
+    holds the positions starts[c] .. starts[c + 1] - 1.  A group is as many columns as
     make about _SLICE_PAIRS candidates, so the runs held at once stay
     O(n + _SLICE_PAIRS) whatever k is.
 
     A run is (source position, first position, count): the source pairs
     with the next `count` points.  A source scans the columns cx .. cx + k
-    of the grid; in each column it takes the one range of rows that can
+    of its trial's grid; in each column it takes the one range of rows that can
     hold points within reach of it, plus the part that wraps on the torus.
     In its own column it starts after itself, so every unordered pair
     within reach is a candidate exactly once.
@@ -296,7 +351,7 @@ def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
         # rows bottom .. top of column cx + ox come within reach; h < k, so
         # they are at most 2k + 1
         tx = cx + ox
-        base = (tx % m if torus else np.minimum(tx, m - 1)) * m
+        base = (t0 + (tx % m if torus else np.minimum(tx, m - 1))) * m
         if ox:
             gap = np.maximum(tx - X, 0.0)
             h = np.sqrt(np.maximum(span * span - gap * gap, 0.0))
@@ -324,7 +379,7 @@ def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
 
 
 def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
-                 key: int, runs) -> np.ndarray:
+                 words: np.ndarray, local: np.ndarray, runs) -> np.ndarray:
     """Realize each group (src, first, count) of candidate runs: the pairs
     of cell-order positions (src[k], first[k] + t), t < count[k], where
     position p holds point order[p], about _SLICE_PAIRS candidates at a
@@ -332,8 +387,9 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
 
     The squared distance with slack keeps a superset of the pairs in
     range.  A pair in a bin where g is 1 (lo = 1) is an edge and draws no
-    coin; the others draw their coin u from the lower point's hash word,
-    computed once per point.  u < lo of its bin is an edge, u >= hi is
+    coin; the others draw their coin u from the lower point's hash word
+    words[lo], the first round of the coin, and the higher point's index
+    local[hi] within its trial.  u < lo of its bin is an edge, u >= hi is
     none, and the pairs in between take the exact test: hypot,
     d <= reach and u < g(d / r).  The torus fold is odd and hypot even in
     the difference, so a pair's distance does not depend on its point
@@ -345,7 +401,6 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
     reach = r * params.model.cutoff
     bound, scale, lo_bin, hi_bin = _coin_brackets(params.model, r, _COIN_BINS)
     free = int(np.count_nonzero(lo_bin >= 1.0))  # the coin-free bins 0 .. free - 1
-    words = streams.word_array(key, np.arange(n))
     parts = []
     for src, first, count in runs:
         offs = np.concatenate(([0], np.cumsum(count)))
@@ -369,7 +424,7 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
                 parts.append(lo[sure] * n + hi[sure])
                 rest = ~sure
                 near, lo, hi = near[rest], lo[rest], hi[rest]
-            u = streams.unit_array(streams.word_array(words[lo], hi))
+            u = streams.unit_array(streams.word_array(words[lo], local[hi]))
             k = (q[near] * scale).astype(np.intp)
             connected = u < lo_bin[k]
             unsure = np.flatnonzero((u < hi_bin[k]) != connected)

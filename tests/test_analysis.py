@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rcmsim.analysis import (TrialRecord, components, coupled_statistics,
-                             isolated_count, trial_statistics)
+                             isolated_count, stack_records, trial_statistics)
 from rcmsim.geometry import Metric
-from rcmsim.models import unit_disk
+from rcmsim.models import gaussian, unit_disk
 from rcmsim.sampler import (NetworkSample, SampleParams, build_graph,
-                            couple_torus_to_square, sample_points)
+                            couple_torus_to_square, sample_points, stack_edges,
+                            stack_points, unwrapped)
 from oracles import bfs_components
 
 UD = unit_disk()
@@ -121,3 +122,31 @@ def test_trial_record_is_plain_data():
                       n_edges=1, isolated=0, n_components=1, connected=True,
                       mean_degree=1.0)
     assert rec.isolated_torus is None
+
+
+@pytest.mark.parametrize("rho, b, model", [(2.0, 0.5, UD), (2.0, -0.66, gaussian()),
+                                           (80.0, 0.0, UD), (300.0, 0.0, gaussian())],
+                         ids=["rho2_disk", "rho2_gauss", "rho80_disk", "rho300_gauss"])
+def test_stacked_trials_match_each_trial(rho, b, model):
+    # a stack of 12 trials, split at its offsets, holds each trial's own
+    # points and edges; its records count components as the BFS oracle
+    # does, and at seed 54 the rho 2 stacks start and end with an empty trial
+    p = SampleParams(rho, b, model, Metric.TORUS, 54, 0)
+    points, offsets = stack_points(p, 12)
+    edges = stack_edges(p, points, offsets)
+    keep = unwrapped(p, points, edges)
+    records = stack_records(p, offsets, edges[keep], edges)
+    for k, rec in enumerate(records):
+        one = SampleParams(rho, b, model, Metric.TORUS, 54, k)
+        a, z = offsets[k], offsets[k + 1]
+        coupled = couple_torus_to_square(one)
+        assert np.array_equal(points[a:z], coupled.points)
+        mine = (edges[:, 0] >= a) & (edges[:, 0] < z)
+        assert np.array_equal(edges[mine] - a, coupled.torus_edges)
+        assert np.array_equal(edges[mine & keep] - a, coupled.square_edges)
+        assert rec == coupled_statistics(coupled)
+        assert (rec.n_components, rec.connected) == bfs_components(
+            z - a, (edges[mine & keep] - a).tolist())
+    if rho == 2.0:
+        n = np.diff(offsets)
+        assert n[0] == n[-1] == 0 and (n[1:-1] == 0).any()

@@ -156,26 +156,26 @@ def test_cell_order_past_16_bit_cell_ids(metric):
     # coordinate fits 16 bits; real trials reach m > 256 only above rho 3e5
     p = _params(2000.0, 0.0, metric=metric, seed=12)
     pts = sample_points(p)
-    key = streams.stream_key(p.master_seed, p.trial_index, streams.TAG_EDGES)
-    assert np.array_equal(sampler._grid_edges(p, pts, key, 300),
+    assert np.array_equal(sampler._grid_edges(p, pts, np.array([0, pts.shape[0]]), 300),
                           build_graph(p, pts, exact=True).edges)
 
 
 @pytest.mark.parametrize("model", [UD, GAUSS], ids=["unit_disk", "gaussian"])
 def test_pair_coins_drawn(model, monkeypatch):
     # the unit disk's pairs in range are edges without a coin, but for the
-    # last bins that reach past r; the Gaussian draws one per pair in range
+    # last bins that reach past r; the Gaussian draws one per pair in range.
+    # A coin is a hash word turned into a uniform, which build_graph does
+    # for coins alone
     drawn = []
-    word_array = streams.word_array
+    unit_array = streams.unit_array
 
-    def counting(key, counters):
-        if np.ndim(key):
-            drawn.append(np.size(counters))
-        return word_array(key, counters)
+    def counting(h):
+        drawn.append(np.size(h))
+        return unit_array(h)
 
     p = _params(2000.0, 0.0, model=model, seed=14)
     pts = sample_points(p)
-    monkeypatch.setattr(streams, "word_array", counting)
+    monkeypatch.setattr(streams, "unit_array", counting)
     n_edges = build_graph(p, pts).n_edges
     if model is UD:
         assert sum(drawn) <= 0.01 * n_edges
