@@ -23,10 +23,10 @@ so memory stays bounded for any density and kernel support.  A
 squared-distance filter with slack keeps a superset of the pairs in
 range.  A table over bins of the squared distance, built once per kernel
 and r, brackets g between lo and hi.  Pairs in a bin where g is exactly 1
-are edges and draw no coin; each other pair draws its coin u: u < lo is
-an edge, u >= hi is none, and only the pairs in between (about 0.1%)
-take the exact hypot test and g.  Edges are sorted by the int64 key
-i * n + j.
+are edges and draw no coin; each other pair's coin is decided exactly on
+its integer hash word against the bin's bounds as words, hi first, and
+only the pairs in between (about 0.1%) take the exact hypot test and g.
+Edges are sorted by the int64 key i * n + j.
 The coupled metric draws nothing of its own: its square graph is the
 torus graph less the wrapping edges.
 
@@ -213,9 +213,9 @@ def couple_torus_to_square(params: SampleParams) -> CoupledSample:
 def unwrapped(params: SampleParams, points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Mask of the torus edges that do not wrap: those within r * cutoff
     in the square metric."""
-    pa, pb = points[edges[:, 0]], points[edges[:, 1]]
-    return (distance_arrays(Metric.SQUARE, pa[:, 0], pa[:, 1], pb[:, 0], pb[:, 1])
-            <= params.r * params.model.cutoff)
+    x, y = np.ascontiguousarray(points.T)
+    i, j = edges[:, 0], edges[:, 1]
+    return distance_arrays(Metric.SQUARE, x[i], y[i], x[j], y[j]) <= params.r * params.model.cutoff
 
 
 def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> float:
@@ -267,7 +267,8 @@ def _coin_brackets(model: _models.ConnectionModel, r: float,
     rounding between q, its bin and hypot; values by _G_SLACK, but for a
     lower bound of exactly 1: validation keeps g <= 1, so g is 1 across
     that bin and lo = 1 makes each of its pairs an edge, whatever its coin.
-    Such bins come first, as lo does not rise from one bin to the next."""
+    Such bins come first, as lo does not rise from one bin to the next.
+    lo <= hi in every bin, as both bound g at the bin's inner edge."""
     reach = r * model.cutoff
     bound = reach * reach * (1.0 + 1e-9)
     scale = bins / bound
@@ -283,6 +284,19 @@ def _coin_brackets(model: _models.ConnectionModel, r: float,
     lo[d_hi > reach] = -1.0
     lo.flags.writeable = hi.flags.writeable = False
     return bound, scale, lo, hi
+
+
+@lru_cache(maxsize=64)
+def _coin_words(model: _models.ConnectionModel, r: float,
+                bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Lo, Hi): lo and hi of _coin_brackets as int64 bounds ceil(x 2^53)
+    on the coin's hash word w = h >> 11.  Its coin is u = w 2^-53 and
+    x 2^53 is exact, so u < x if and only if w < ceil(x 2^53)."""
+    words = tuple(np.ceil(x * 2.0**53).astype(np.int64)
+                  for x in _coin_brackets(model, r, bins)[2:])
+    for x in words:
+        x.flags.writeable = False
+    return words
 
 
 def _trial_keys(params: SampleParams, trials: int, tag: int) -> np.ndarray:
@@ -322,7 +336,8 @@ def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray,
     local = _local_index(offsets)
     keys = _trial_keys(params, trials, streams.TAG_EDGES)
     words = streams.word_array(np.repeat(keys, np.diff(offsets)), local)
-    pair = np.sort(_expand_runs(params, points, order, words, local, runs))
+    lg = local.astype(np.uint64) * np.uint64(streams.GOLDEN)
+    pair = np.sort(_expand_runs(params, points, order, words, lg, runs))
     return np.column_stack((pair // n, pair % n))
 
 
@@ -379,7 +394,7 @@ def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
 
 
 def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
-                 words: np.ndarray, local: np.ndarray, runs) -> np.ndarray:
+                 words: np.ndarray, lg: np.ndarray, runs) -> np.ndarray:
     """Realize each group (src, first, count) of candidate runs: the pairs
     of cell-order positions (src[k], first[k] + t), t < count[k], where
     position p holds point order[p], about _SLICE_PAIRS candidates at a
@@ -387,19 +402,20 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
 
     The squared distance with slack keeps a superset of the pairs in
     range.  A pair in a bin where g is 1 (lo = 1) is an edge and draws no
-    coin; the others draw their coin u from the lower point's hash word
-    words[lo], the first round of the coin, and the higher point's index
-    local[hi] within its trial.  u < lo of its bin is an edge, u >= hi is
-    none, and the pairs in between take the exact test: hypot,
-    d <= reach and u < g(d / r).  The torus fold is odd and hypot even in
-    the difference, so a pair's distance does not depend on its point
-    order."""
+    coin.  The others hash word_array(words[lo], local[hi]), local[hi]
+    premultiplied as lg = local * GOLDEN, and decide on w = h >> 11
+    against the words of _coin_words: w >= Hi is none, which settles
+    about 96% of them in one pass, w < Lo is an edge, and the pairs in
+    between take u = w 2^-53 and the exact test: hypot, d <= reach and
+    u < g(d / r).  The torus fold is odd and hypot even in the
+    difference, so a pair's distance does not depend on its point order."""
     n = order.size
     xs, ys = points[order, 0], points[order, 1]
     torus = params.metric is Metric.TORUS
     r, g = params.r, params.model.g
     reach = r * params.model.cutoff
-    bound, scale, lo_bin, hi_bin = _coin_brackets(params.model, r, _COIN_BINS)
+    bound, scale, lo_bin, _ = _coin_brackets(params.model, r, _COIN_BINS)
+    lo_word, hi_word = _coin_words(params.model, r, _COIN_BINS)
     free = int(np.count_nonzero(lo_bin >= 1.0))  # the coin-free bins 0 .. free - 1
     parts = []
     for src, first, count in runs:
@@ -408,28 +424,36 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
         bounds = np.concatenate(([0], cuts, [count.size]))
         for a, b in zip(bounds[:-1], bounds[1:]):
             lengths = count[a:b]
-            i = np.repeat(order[src[a:b]], lengths)
             pj = np.repeat(first[a:b] - offs[a:b], lengths) + np.arange(offs[a], offs[b])
-            dx = np.repeat(xs[src[a:b]], lengths) - xs[pj]
-            dy = np.repeat(ys[src[a:b]], lengths) - ys[pj]
+            dx = np.repeat(xs[src[a:b]], lengths)
+            dx -= xs[pj]
+            dy = np.repeat(ys[src[a:b]], lengths)
+            dy -= ys[pj]
             if torus:
-                dx -= np.round(dx)
-                dy -= np.round(dy)
-            q = dx * dx + dy * dy
+                dx -= np.rint(dx)
+                dy -= np.rint(dy)
+            q = dx * dx
+            q += dy * dy
             near = np.flatnonzero(q <= bound)
-            i, j = i[near], order[pj[near]]
+            i, j = np.repeat(order[src[a:b]], lengths)[near], order[pj[near]]
             lo, hi = np.minimum(i, j), np.maximum(i, j)
-            if free:
-                sure = q[near] * scale < free
-                parts.append(lo[sure] * n + hi[sure])
-                rest = ~sure
-                near, lo, hi = near[rest], lo[rest], hi[rest]
-            u = streams.unit_array(streams.word_array(words[lo], local[hi]))
             k = (q[near] * scale).astype(np.intp)
-            connected = u < lo_bin[k]
-            unsure = np.flatnonzero((u < hi_bin[k]) != connected)
+            if free:
+                sure = k < free
+                parts.append(lo[sure] * n + hi[sure])
+                rest = np.flatnonzero(~sure)
+                near, lo, hi, k = near[rest], lo[rest], hi[rest], k[rest]
+            h, tmp = lg[hi], words[lo]
+            h += tmp
+            streams._mix64_inplace(h, tmp)
+            w = np.right_shift(h, np.uint64(11), out=tmp).view(np.int64)
+            c = np.flatnonzero(w < hi_word[k])
+            connected = w[c] < lo_word[k[c]]
+            unsure = np.flatnonzero(~connected)
             if unsure.size:
-                d = np.hypot(dx[near[unsure]], dy[near[unsure]])
-                connected[unsure] = (d <= reach) & (u[unsure] < g(d / r))
-            parts.append(lo[connected] * n + hi[connected])
+                s, e = c[unsure], near[c[unsure]]
+                d = np.hypot(dx[e], dy[e])
+                connected[unsure] = (d <= reach) & (streams.unit_array(h[s]) < g(d / r))
+            c = c[connected]
+            parts.append(lo[c] * n + hi[c])
     return np.concatenate(parts)

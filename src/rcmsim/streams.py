@@ -9,6 +9,9 @@ numpy uint64 arrays; the two paths are bit-identical (tested).
 
 A trial draws from three streams, tagged 0 (point count), 1 (point
 coordinates) and 2 (edge coins); no other stream exists.
+
+A uniform is u = (h >> 11) 2^-53 of a word h, exactly, so the sampler
+decides an edge coin u < x on the integer, as h >> 11 < ceil(x 2^53).
 """
 
 from __future__ import annotations
@@ -39,14 +42,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """`mix64` on a uint64 array, in place; multiplication wraps mod 2**64."""
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """`mix64` on a uint64 array, in place; multiplication wraps mod 2**64.
+    tmp is scratch of z's shape and dtype, allocated when not given."""
+    if tmp is None:
+        tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= np.uint64(_M1)
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= np.uint64(_M2)
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 

@@ -19,6 +19,8 @@ UD = unit_disk()
 GAUSS = gaussian()
 # g is 1 out to 0.5, inside a support of 2: its first coin bins need no coin
 PLATEAU = table_model([(0.0, 1.0), (0.5, 1.0), (1.0, 0.4), (2.0, 0.0)])
+BRUTE_FORCE_MODELS = [UD, GAUSS, log_normal(6.0, 3.0),
+                      table_model([(0.0, 1.0), (0.5, 0.7), (1.5, 0.1), (2.5, 0.0)]), PLATEAU]
 
 
 def _params(rho, b, metric=Metric.TORUS, model=UD, seed=101, trial=0):
@@ -77,8 +79,7 @@ def test_point_count_moments():
 
 def test_grid_matches_brute_force_across_models_and_metrics():
     rng = np.random.default_rng(12)
-    models = [UD, GAUSS, log_normal(6.0, 3.0),
-              table_model([(0.0, 1.0), (0.5, 0.7), (1.5, 0.1), (2.5, 0.0)]), PLATEAU]
+    models = BRUTE_FORCE_MODELS
     for case in range(60):
         rho = float(rng.uniform(5.0, 250.0))
         b = float(rng.uniform(-0.5, 1.5))
@@ -164,23 +165,24 @@ def test_cell_order_past_16_bit_cell_ids(metric):
 def test_pair_coins_drawn(model, monkeypatch):
     # the unit disk's pairs in range are edges without a coin, but for the
     # last bins that reach past r; the Gaussian draws one per pair in range.
-    # A coin is a hash word turned into a uniform, which build_graph does
-    # for coins alone
+    # A coin is the second round of its hash; build_graph mixes one word
+    # per point for the first round and one per coin for the second
     drawn = []
-    unit_array = streams.unit_array
+    mix = streams._mix64_inplace
 
-    def counting(h):
-        drawn.append(np.size(h))
-        return unit_array(h)
+    def counting(z, tmp=None):
+        drawn.append(np.size(z))
+        return mix(z, tmp)
 
     p = _params(2000.0, 0.0, model=model, seed=14)
     pts = sample_points(p)
-    monkeypatch.setattr(streams, "unit_array", counting)
+    monkeypatch.setattr(streams, "_mix64_inplace", counting)
     n_edges = build_graph(p, pts).n_edges
+    coins = sum(drawn) - pts.shape[0]
     if model is UD:
-        assert sum(drawn) <= 0.01 * n_edges
+        assert coins <= 0.01 * n_edges
     else:
-        assert sum(drawn) >= n_edges
+        assert coins >= n_edges
 
 
 def test_tiny_slices_match_default_slices(monkeypatch):
@@ -251,6 +253,28 @@ def test_coin_brackets_hold_in_every_bin(model):
     free = lo[b] >= 1.0
     assert free.any() == (model in (UD, PLATEAU))
     assert np.all(gd[free] == 1.0)
+
+
+@pytest.mark.parametrize("model", BRUTE_FORCE_MODELS,
+                         ids=["unit_disk", "gaussian", "log_normal", "table4", "plateau"])
+def test_coin_words_decide_as_the_uniform(model):
+    # the coin u = w 2^-53 of the hash word w = h >> 11 is decided on w
+    # against ceil(x 2^53): at the words next to each bin's threshold the
+    # integer test must agree with the uniform's
+    r = connection_radius(model.C, 2000.0, 0.0)
+    lo, hi = sampler._coin_brackets(model, r, sampler._COIN_BINS)[2:]
+    lo_word, hi_word = sampler._coin_words(model, r, sampler._COIN_BINS)
+    assert np.all(lo <= hi)
+    # bins past the range (lo = -1), and where g is 1 across the bin
+    # (lo = 1, hi > 1): thresholds outside the words 0 .. 2^53 - 1
+    assert (lo == -1.0).any()
+    if model in (UD, PLATEAU):
+        assert (lo == 1.0).any() and (hi > 1.0).any()
+    for x, t in ((lo, lo_word), (hi, hi_word)):
+        w = np.clip(t[:, None] + np.arange(-1, 2), 0, 2**53 - 1)
+        for low in (0, 0x7FF):
+            h = (w.astype(np.uint64) << np.uint64(11)) | np.uint64(low)
+            assert np.array_equal(w < t[:, None], streams.unit_array(h) < x[:, None])
 
 
 def test_build_graph_memory_is_bounded():
