@@ -21,8 +21,7 @@ from .sampler import (CoupledSample, NetworkSample, SampleParams, build_graph,
 from .analysis import (TrialRecord, components, coupled_statistics,
                        isolated_count, trial_statistics)
 from .theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
-                     chen_stein_tv_bound, expected_isolated, theory_report,
-                     tv_to_poisson)
+                     expected_isolated, theory_report, tv_to_poisson)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,6 @@ __all__ = [
     "TrialRecord",
     "build_graph",
     "chen_stein_terms",
-    "chen_stein_tv_bound",
     "components",
     "connection_radius",
     "couple_torus_to_square",

@@ -436,31 +436,6 @@ def format_trials_csv(rows: list[TrialRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trials_csv(text: str) -> list[TrialRecord]:
-    """Inverse of format_trials_csv; the round trip is lossless."""
-    lines = text.splitlines()
-    if not lines or lines[0] != ",".join(TRIAL_COLUMNS):
-        raise ConfigError("trial table header does not match the schema")
-    out = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        if len(f) != len(TRIAL_COLUMNS):
-            raise ConfigError(f"malformed trial row: {ln!r}")
-        try:
-            out.append(TrialRecord(
-                rho=float(f[0]), b=float(f[1]), metric=f[2], trial=int(f[3]),
-                n_points=int(f[4]), n_edges=int(f[5]), isolated=int(f[6]),
-                n_components=int(f[7]), connected={"true": True, "false": False}[f[8]],
-                mean_degree=float(f[9]),
-                isolated_torus=int(f[10]) if f[10] else None,
-                isolated_square=int(f[11]) if f[11] else None,
-                isolated_boundary=int(f[12]) if f[12] else None,
-            ))
-        except (KeyError, ValueError):
-            raise ConfigError(f"malformed trial row: {ln!r}") from None
-    return out
-
-
 def format_summary_csv(summary: SweepSummary) -> str:
     lines = [",".join(SUMMARY_COLUMNS)]
     for cell in summary.cells:

@@ -111,9 +111,6 @@ class NetworkSample:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n_points)
-
 
 @dataclass(frozen=True)
 class CoupledSample:
@@ -133,9 +130,6 @@ class CoupledSample:
     @property
     def n_points(self) -> int:
         return int(self.points.shape[0])
-
-    def torus_sample(self) -> NetworkSample:
-        return NetworkSample(self.params, self.points, self.torus_edges)
 
     def square_sample(self) -> NetworkSample:
         return NetworkSample(self.params, self.points, self.square_edges)
@@ -160,12 +154,10 @@ def stack_points(params: SampleParams, trials: int) -> tuple[np.ndarray, np.ndar
     return u.reshape(-1, 2) + LO, offsets
 
 
-def build_graph(params: SampleParams, points: np.ndarray,
-                exact: bool = False) -> NetworkSample:
-    """Realize the connection graph on the given points.
+def build_graph(params: SampleParams, points: np.ndarray) -> NetworkSample:
+    """Realize the connection graph on the given points, which must lie in
+    the unit cell [-1/2, 1/2)^2 (NaN and infinities do not).
 
-    `exact` forces the 1x1 grid, so every pair is a candidate; a torus
-    that cannot fit the 2k + 1 columns of the scan gets that grid anyway.
     Every grid produces the same edge set because each pair's uniform
     depends only on (master_seed, trial_index, tag, i, j), and a pair's
     coin is settled by the exact test wherever its bracket leaves it open.
@@ -173,12 +165,10 @@ def build_graph(params: SampleParams, points: np.ndarray,
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 2:
         raise ParameterError(f"points must have shape (n, 2), got {points.shape}")
-    if points.size and (points.min() < LO or points.max() >= -LO):
+    if not ((points >= LO).all() and (points < -LO).all()):
         raise ParameterError("points outside the unit cell")
-    offsets = np.array([0, points.shape[0]])
-    edges = (_grid_edges(params, points, offsets, 1) if exact
-             else stack_edges(params, points, offsets))
-    return NetworkSample(params, points, edges)
+    return NetworkSample(params, points,
+                         stack_edges(params, points, np.array([0, points.shape[0]])))
 
 
 def stack_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray) -> np.ndarray:

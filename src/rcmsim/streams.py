@@ -64,18 +64,10 @@ def stream_key(master_seed: int, trial_index: int, stream_tag: int) -> int:
     return h
 
 
-def _word(key: int, w: int) -> int:
-    return mix64((key + GOLDEN * w) & MASK64)
-
-
-def _to_unit(h: int) -> float:
-    # top 53 bits -> [0, 1)
-    return (h >> 11) * 2.0**-53
-
-
 def uniform(key: int, counter: int) -> float:
-    """Uniform [0, 1) at position `counter` of the stream `key`."""
-    return _to_unit(_word(key, counter))
+    """Uniform [0, 1) at position `counter` of the stream `key`: the top
+    53 bits of the word mix64(key + GOLDEN * counter)."""
+    return (mix64((key + GOLDEN * counter) & MASK64) >> 11) * 2.0**-53
 
 
 def uniform_array(key: int, counters: np.ndarray) -> np.ndarray:
@@ -84,9 +76,9 @@ def uniform_array(key: int, counters: np.ndarray) -> np.ndarray:
 
 
 def word_array(key, counters: np.ndarray) -> np.ndarray:
-    """Vectorized `_word` over a counter array; `key` is one key or an
-    array of them.  `word_array(key, i)` is the first round of
-    `pair_uniform`, so a caller can compute it once per point."""
+    """The words of `uniform` over a counter array; `key` is one key or an
+    array of them.  The coin of the pair (i, j), i < j, is the uniform at
+    counter j of the stream word_array(key, i), computed once per point."""
     with np.errstate(over="ignore"):
         z = np.asarray(counters, dtype=np.uint64) * np.uint64(GOLDEN)
         z += np.asarray(key, dtype=np.uint64)
@@ -94,13 +86,8 @@ def word_array(key, counters: np.ndarray) -> np.ndarray:
 
 
 def unit_array(h: np.ndarray) -> np.ndarray:
-    """Vectorized `_to_unit`: top 53 bits of uint64 words -> [0, 1)."""
+    """Top 53 bits of uint64 words -> [0, 1), as `uniform` takes them."""
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def pair_uniform(key: int, i: int, j: int) -> float:
-    """Uniform [0, 1) attached to the unordered point pair (i, j), i < j."""
-    return _to_unit(_word(_word(key, i), j))
 
 
 def poisson_sample(mean: float, key: int) -> int:

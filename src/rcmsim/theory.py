@@ -21,12 +21,11 @@ r = sqrt((log rho + b) / (C rho)):
       the lens of the cutoff discs for the Gaussian, a radial rule over a
       closed-form angular integral (incomplete elliptic integrals of the
       second kind) for tables, and a 2-D rule for the log-normal.
-  dependence bounds b1, b2 for the Poisson approximation of the torus
-      isolated-node count, with neighborhood exponent epsilon in (0, 1/2);
-      the total-variation bound assembles as
-      (b1 + b2) * min(1, 1/lambda) + b3 * min(1, 1/sqrt(lambda)).
-      b3 (the near-independence correction) is not evaluated here; callers
-      pass 0, which makes the assembled bound optimistic by that term.
+  dependence terms b1, b2 of the Chen-Stein bound on the total variation
+      between the torus isolated-node count and Poisson(lambda), with
+      neighborhood exponent epsilon in (0, 1/2).  The bound itself,
+      (b1 + b2) * min(1, 1/lambda) + b3 * min(1, 1/sqrt(lambda)), is not
+      assembled here, and b3 (the near-independence term) is not evaluated.
   mean degree, square:
       E[2M] / E[N] = rho int g(|z| / r) (1 - |z1|)(1 - |z2|) dz, where
       (1 - |z1|)(1 - |z2|) is the area of the square that holds pairs a
@@ -476,11 +475,6 @@ def _converged(rule, what: str, rel_tol: float = _REL_TOL):
 # cross mass and dependence bounds
 
 
-def _cross_mass(model: ConnectionModel, s) -> np.ndarray:
-    """`_cross_mass_rule` at the first order that agrees with the next."""
-    return _converged(lambda n: _cross_mass_rule(model, s, n), "cross mass")[0]
-
-
 def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
     """int g(|y|) g(|y - s e_x|) dy over the plane, scaled units, for an
     array of separations s at rule order n: 2 int_0^cutoff u g(u) A(u, s) du
@@ -640,20 +634,6 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
     return b1, float(value), err
 
 
-def chen_stein_tv_bound(b1: float, b2: float, b3: float, lam: float) -> float:
-    """Assemble the total-variation bound from its three terms.
-
-    This module does not evaluate b3; passing b3 = 0 (the usual call)
-    yields a bound missing that correction.
-    """
-    for name, v in (("b1", b1), ("b2", b2), ("b3", b3)):
-        if not math.isfinite(v) or v < 0.0:
-            raise ParameterError(f"{name} must be finite and >= 0, got {v}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ParameterError(f"lambda must be positive, got {lam}")
-    return (b1 + b2) * min(1.0, 1.0 / lam) + b3 * min(1.0, 1.0 / math.sqrt(lam))
-
-
 # ---------------------------------------------------------------------------
 # Poisson approximation, observed
 
@@ -661,8 +641,9 @@ def chen_stein_tv_bound(b1: float, b2: float, b3: float, lam: float) -> float:
 def tv_to_poisson(counts, lam: float) -> float:
     """Total variation between the empirical law of the nonnegative integer
     `counts` and Poisson(lam), over k = 0..max(max count, 10) plus the
-    Poisson mass beyond that table.  The Poisson table comes from the
-    stable recurrence p_k = p_{k-1} lam / k."""
+    Poisson mass beyond that table.  The Poisson table is
+    exp(k log lam - lam - log k!), in log space because exp(-lam)
+    underflows once lam passes about 745."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0 or np.any(counts < 0):
         raise ParameterError("counts must be a nonempty array of integers >= 0")
@@ -670,6 +651,7 @@ def tv_to_poisson(counts, lam: float) -> float:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
     k_max = max(int(counts.max()), 10)
     observed = np.bincount(counts, minlength=k_max + 1) / counts.size
-    pmf = np.cumprod([math.exp(-lam), *(lam / k for k in range(1, k_max + 1))])
+    pmf = np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1.0)) if lam
+                    else float(k == 0) for k in range(k_max + 1)])
     tail = max(0.0, 1.0 - float(pmf.sum()))
     return 0.5 * float(np.abs(observed - pmf).sum()) + 0.5 * tail

@@ -10,12 +10,15 @@ says which part it checks.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import deque
 
 import numpy as np
 
 from rcmsim import streams
+from rcmsim.analysis import TrialRecord
+from rcmsim.cli import TRIAL_COLUMNS
 from rcmsim.geometry import Metric
 
 
@@ -29,6 +32,13 @@ def scalar_distance(metric, p, q):
         return math.hypot(dx, dy)
     return min(math.hypot(dx + ox, dy + oy) for ox in (-1.0, 0.0, 1.0)
                for oy in (-1.0, 0.0, 1.0))
+
+
+def pair_uniform(key, i, j):
+    """The coin of the pair (i, j), i < j, on Python ints: the hash of the
+    stream key at i keys a second hash at j, whose top 53 bits scale to [0, 1)."""
+    h = streams.mix64((key + streams.GOLDEN * i) & streams.MASK64)
+    return (streams.mix64((h + streams.GOLDEN * j) & streams.MASK64) >> 11) * 2.0**-53
 
 
 def brute_force_edges(params, points):
@@ -48,9 +58,20 @@ def brute_force_edges(params, points):
             q = (float(points[j][0]), float(points[j][1]))
             d = scalar_distance(params.metric, p, q)
             prob = float(params.model.g(d / params.r))
-            if prob > 0.0 and streams.pair_uniform(key, i, j) < prob:
+            if prob > 0.0 and pair_uniform(key, i, j) < prob:
                 edges.append((i, j))
     return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def read_trials_csv(text):
+    """The TrialRecords of a trial table as cli.format_trials_csv writes
+    it, read back through the csv module; the header must be the schema."""
+    reader = csv.reader(text.splitlines())
+    assert tuple(next(reader)) == TRIAL_COLUMNS
+    flag = {"true": True, "false": False}
+    return [TrialRecord(float(rho), float(b), metric, int(trial), int(n), int(m), int(iso),
+                        int(comp), flag[conn], float(deg), *(int(v) if v else None for v in split))
+            for rho, b, metric, trial, n, m, iso, comp, conn, deg, *split in reader]
 
 
 def bfs_components(n, edges):

@@ -20,12 +20,11 @@ PUBLIC = [
     "ChenSteinParams", "ConfigError", "ConnectionModel", "CoupledSample", "Metric",
     "ModelError", "ModelValidationReport", "NetworkSample", "ParameterError",
     "QuadratureError", "RcmError", "SampleParams", "TheoryReport", "TrialRecord",
-    "build_graph", "chen_stein_terms", "chen_stein_tv_bound", "components",
-    "connection_radius", "couple_torus_to_square", "coupled_statistics",
-    "distance_arrays", "expected_isolated", "gaussian", "isolated_count",
-    "load_table", "log_normal", "sample_points", "table_model", "theory_report",
-    "trial_statistics", "truncation_bias", "tv_to_poisson", "unit_disk",
-    "validate_model",
+    "build_graph", "chen_stein_terms", "components", "connection_radius",
+    "couple_torus_to_square", "coupled_statistics", "distance_arrays",
+    "expected_isolated", "gaussian", "isolated_count", "load_table", "log_normal",
+    "sample_points", "table_model", "theory_report", "trial_statistics",
+    "truncation_bias", "tv_to_poisson", "unit_disk", "validate_model",
 ]
 
 SUBCOMMANDS = ["simulate", "theory", "validate-model"]
@@ -68,3 +67,28 @@ def test_benchmark_cli_names_resolve():
     for path in sorted(BENCH.glob("*.py")):
         for used in _used(path, "rcmsim.cli"):
             assert hasattr(cli, used), (path.name, used)
+
+
+_NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _references(source: str) -> set[str]:
+    """Names a module refers to, as names, attributes or imports, less each
+    top-level definition's references to itself."""
+    refs = set()
+    for top in ast.parse(source).body:
+        names = {getattr(n, _NAMED[type(n)]) for n in ast.walk(top) if type(n) in _NAMED}
+        refs |= names - {getattr(top, "name", None)}
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    # a name that only the tests call is not worth exporting
+    src = Path(rcmsim.__file__).resolve().parent
+    used = set().union(*(_references(p.read_text()) for p in src.glob("*.py")
+                         if p.name != "__init__.py"),
+                       *(_used(p, "rcmsim") for p in BENCH.glob("*.py")))
+    readme = (BENCH.parent / "README.md").read_text()
+    used |= _references(readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+                        .split("```", 1)[0])
+    assert [name for name in rcmsim.__all__ if name not in used] == []

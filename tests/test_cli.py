@@ -14,9 +14,10 @@ from rcmsim import cli
 from rcmsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK,
                         SKIP_REASON, Z99, CampaignConfig, build_model,
                         format_summary_csv, format_trials_csv, load_config,
-                        main, parse_config, parse_trials_csv, run_campaign,
+                        main, parse_config, run_campaign,
                         summary_path, write_outputs)
 from rcmsim.errors import ConfigError, ModelError, ParameterError
+from oracles import read_trials_csv
 from test_theory import DENSE
 
 
@@ -280,7 +281,7 @@ def test_summary_matches_recomputation_from_rows(tmp_path):
     cfg = parse_config(_doc(tmp_path, rho_list=[200.0], trials=50))
     summary, rows, _ = run_campaign(cfg)
     cell = summary.cells[0]
-    parsed = parse_trials_csv(format_trials_csv(rows))
+    parsed = read_trials_csv(format_trials_csv(rows))
     iso = np.array([r.isolated for r in parsed], dtype=np.float64)
     assert cell.mean_isolated == pytest.approx(iso.mean(), rel=1e-15)
     assert cell.var_isolated == pytest.approx(iso.var(ddof=1), rel=1e-15)
@@ -324,20 +325,7 @@ def test_trials_csv_round_trip(tmp_path):
     _, plain_rows, _ = run_campaign(cfg2)
     for rows in (coupled_rows, plain_rows, []):
         text = format_trials_csv(rows)
-        assert parse_trials_csv(text) == rows
-
-
-def test_trials_csv_rejects_foreign_tables():
-    with pytest.raises(ConfigError):
-        parse_trials_csv("rho,b\n1,2\n")
-    good = format_trials_csv([])
-    with pytest.raises(ConfigError):
-        parse_trials_csv(good + "1,2,3\n")
-    # a bad connected flag and a non-integer count
-    with pytest.raises(ConfigError):
-        parse_trials_csv(good + "100,0,torus,0,98,300,0,1,yes,6.1,,,\n")
-    with pytest.raises(ConfigError):
-        parse_trials_csv(good + "100,0,torus,0,98.5,300,0,1,true,6.1,,,\n")
+        assert read_trials_csv(text) == rows
 
 
 def test_summary_path_naming():
@@ -349,7 +337,7 @@ def test_write_outputs_csv_and_json(tmp_path):
     cfg = parse_config(_doc(tmp_path, rho_list=[70.0], trials=3))
     summary, rows, _ = run_campaign(cfg)
     trial_file, summary_file = write_outputs(cfg, summary, rows)
-    assert parse_trials_csv((tmp_path / "out.csv").read_text()) == rows
+    assert read_trials_csv((tmp_path / "out.csv").read_text()) == rows
     assert (tmp_path / "out_summary.csv").read_text().startswith(
         ",".join(cli.SUMMARY_COLUMNS))
 
@@ -378,7 +366,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert main(["simulate", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "5 trial rows" in out
-    rows = parse_trials_csv((tmp_path / "out.csv").read_text())
+    rows = read_trials_csv((tmp_path / "out.csv").read_text())
     assert len(rows) == 5
 
 
@@ -410,7 +398,7 @@ def test_simulate_workers_flag_matches_serial(tmp_path):
 def test_simulate_runs_coupled_config(tmp_path):
     path = _write_config(tmp_path, metric="coupled", rho_list=[80.0], trials=4)
     assert main(["simulate", path]) == EXIT_OK
-    rows = parse_trials_csv((tmp_path / "out.csv").read_text())
+    rows = read_trials_csv((tmp_path / "out.csv").read_text())
     assert len(rows) == 4
     assert all(r.metric == "coupled" for r in rows)
     assert all(r.isolated_boundary == r.isolated_square - r.isolated_torus
@@ -588,7 +576,7 @@ def test_theory_subcommand_refuses_wide_support(tmp_path, capsys, spec, rho):
     assert "exceeds 1/2" in out.err and not out.out
 
 
-def test_package_imports_no_adaptive_quadrature(tmp_path):
+def test_package_imports_no_adaptive_quadrature(tmp_path, child_env):
     # in a fresh interpreter: pytest's own warning filter imports
     # scipy.integrate into this one
     script = """
@@ -602,7 +590,7 @@ assert main(["theory", "--model", "gaussian", "--rho", "2000", "--b", "0",
 assert "scipy.integrate" not in sys.modules
 """
     res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "theory.json")],
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120, env=child_env)
     assert res.returncode == 0, res.stderr
 
 

@@ -124,7 +124,7 @@ def test_exact_scan_matches_grid():
     p = _params(400.0, 0.5, metric=Metric.SQUARE, model=GAUSS, seed=4)
     pts = sample_points(p)
     a = build_graph(p, pts).edges
-    b = build_graph(p, pts, exact=True).edges
+    b = sampler._grid_edges(p, pts, np.array([0, pts.shape[0]]), 1)
     assert np.array_equal(a, b)
 
 
@@ -135,7 +135,7 @@ def test_exact_scan_matches_grid_across_slices():
     n = pts.shape[0]
     assert n > 4096 and n * (n - 1) // 2 > 8 * sampler._SLICE_PAIRS
     grid = build_graph(p, pts).edges
-    exact = build_graph(p, pts, exact=True).edges
+    exact = sampler._grid_edges(p, pts, np.array([0, n]), 1)
     assert np.array_equal(grid, exact)
     assert exact.dtype == np.int64 and exact.flags.c_contiguous
 
@@ -157,8 +157,9 @@ def test_cell_order_past_16_bit_cell_ids(metric):
     # coordinate fits 16 bits; real trials reach m > 256 only above rho 3e5
     p = _params(2000.0, 0.0, metric=metric, seed=12)
     pts = sample_points(p)
-    assert np.array_equal(sampler._grid_edges(p, pts, np.array([0, pts.shape[0]]), 300),
-                          build_graph(p, pts, exact=True).edges)
+    offsets = np.array([0, pts.shape[0]])
+    assert np.array_equal(sampler._grid_edges(p, pts, offsets, 300),
+                          sampler._grid_edges(p, pts, offsets, 1))
 
 
 @pytest.mark.parametrize("model", [UD, GAUSS], ids=["unit_disk", "gaussian"])
@@ -322,7 +323,7 @@ def test_edges_sorted_and_unique():
 def test_degrees_and_stats():
     p = _params(300.0, 0.0)
     s = build_graph(p, sample_points(p))
-    deg = s.degrees()
+    deg = np.bincount(s.edges.ravel(), minlength=s.n_points)
     assert deg.sum() == 2 * s.n_edges
     assert len(deg) == s.n_points
 
@@ -341,6 +342,10 @@ def test_build_graph_rejects_outside_points():
         build_graph(p, np.array([[0.6, 0.0]]))
     with pytest.raises(ParameterError):
         build_graph(p, np.array([[0.5, 0.0]]))  # +1/2 excluded
+    # NaN fails every comparison: the check must ask that points are inside
+    for pt in ([[math.nan, 0.0]], [[0.0, math.nan]], [[math.inf, 0.0]], [[0.0, -math.inf]]):
+        with pytest.raises(ParameterError, match="outside the unit cell"):
+            build_graph(p, np.array([[0.0, 0.0], [0.001, 0.0]] + pt))
 
 
 # --- coupling ---
@@ -388,7 +393,7 @@ def test_coupling_square_marginal_matches_direct_square_run():
         iso_coupled += int((deg == 0).sum())
         pd = _params(150.0, 0.0, metric=Metric.SQUARE, trial=t, seed=78)
         s = build_graph(pd, sample_points(pd))
-        iso_direct += int((s.degrees() == 0).sum())
+        iso_direct += int((np.bincount(s.edges.ravel(), minlength=s.n_points) == 0).sum())
     # both estimate the same mean; allow 5 sigma of the difference
     lam = iso_coupled / n_trials
     se = math.sqrt(2.0 * max(lam, 1.0) / n_trials)

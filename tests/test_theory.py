@@ -19,8 +19,7 @@ from rcmsim.geometry import Metric
 from rcmsim.models import (connection_radius, gaussian, log_normal,
                            table_model, unit_disk)
 from rcmsim.theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
-                           chen_stein_tv_bound, expected_isolated, theory_report,
-                           tv_to_poisson)
+                           expected_isolated, theory_report, tv_to_poisson)
 from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
                      mc_cross_mass, mc_disk_mass, mc_lens_area, mc_square_pair_mass,
                      mc_visible_mass, poisson_pmf_factorial, quad_cross_mass_table,
@@ -348,9 +347,14 @@ def test_truncated_gaussian_torus_campaign_mean_is_limit():
 # --- cross mass ---
 
 
+def _cross_mass(model, s):
+    """The cross mass rule at the first order that agrees with the next."""
+    return theory._converged(lambda n: theory._cross_mass_rule(model, s, n), "cross mass")[0]
+
+
 def test_cross_mass_unit_disk_vs_point_count_mc():
     for s in (0.3, 1.0, 1.7):
-        got = theory._cross_mass(UD, s)
+        got = _cross_mass(UD, s)
         est, se = mc_lens_area(s, 4_000_000, seed=int(10 * s))
         assert abs(got - est) < 5.0 * se
         assert got == pytest.approx(lens_area(s), rel=1e-12)
@@ -361,7 +365,7 @@ def test_cross_mass_gaussian_closed_form():
     # at the stored cutoff perturbs this at the 1e-12 level
     for s in (0.0, 0.7, 1.9, 3.5):
         want = 0.5 * math.pi * math.exp(-0.5 * s * s)
-        got = theory._cross_mass(GAUSS, s)
+        got = _cross_mass(GAUSS, s)
         assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -371,7 +375,7 @@ def test_cross_mass_gaussian_closed_form():
     (DENSE, (float(DENSE_RADII[30]), 0.9, float(DENSE_RADII[50] + 2.0), 3.3)),
 ])
 def test_cross_mass_tables_vs_mc(model, separations):
-    got = theory._cross_mass(model, np.array(separations))
+    got = _cross_mass(model, np.array(separations))
     for i, s in enumerate(separations):
         est, se = mc_cross_mass(model, s, 2_000_000, seed=300 + i)
         assert abs(got[i] - est) < 5.0 * se, (s, got[i], est, se)
@@ -384,7 +388,7 @@ def test_cross_mass_tables_vs_mc(model, separations):
 def test_table_cross_mass_vs_nested_quad(model, separations):
     # the closed-form angular integral against nested adaptive quad with
     # every knot crossing marked
-    got = theory._cross_mass(model, np.array(separations))
+    got = _cross_mass(model, np.array(separations))
     for i, s in enumerate(separations):
         assert got[i] == pytest.approx(quad_cross_mass_table(model, s), rel=1e-9), s
 
@@ -404,7 +408,7 @@ def test_truncated_gaussian_cross_mass_vs_mc():
     # by up to 95% (at s = 2.9, near 2 cutoff = 3.03)
     model = gaussian(cutoff_eps=0.1)
     separations = (0.0, 0.7, 1.5, 2.5, 2.9)
-    got = theory._cross_mass(model, np.array(separations))
+    got = _cross_mass(model, np.array(separations))
     for i, s in enumerate(separations):
         est, se = mc_cross_mass(model, s, 2_000_000, seed=400 + i)
         assert abs(got[i] - est) < 5.0 * se, (s, got[i], est, se)
@@ -414,16 +418,16 @@ def test_truncated_gaussian_cross_mass_vs_mc():
 
 
 def test_cross_mass_vanishes_beyond_double_cutoff():
-    assert theory._cross_mass(UD, 2.0) == 0.0
-    assert theory._cross_mass(GAUSS, 2.0 * GAUSS.cutoff + 1.0) == 0.0
+    assert _cross_mass(UD, 2.0) == 0.0
+    assert _cross_mass(GAUSS, 2.0 * GAUSS.cutoff + 1.0) == 0.0
 
 
 def test_pair_correlation_table_knots_are_break_points():
     # a separation a hair below the knot at 1: every knot crossing of the
     # shifted kernel is a kink of the angular integrand, and an unmarked
     # kink stalls the rule short of convergence
-    got = theory._cross_mass(TABLE5, 1.0 - 2.5e-12)
-    near = theory._cross_mass(TABLE5, 1.0 - 1e-6)
+    got = _cross_mass(TABLE5, 1.0 - 2.5e-12)
+    near = _cross_mass(TABLE5, 1.0 - 1e-6)
     # the cross mass is continuous in the separation
     assert got == pytest.approx(near, rel=1e-5)
 
@@ -588,28 +592,16 @@ def test_chen_stein_guards():
         chen_stein_terms(UD, 20.0, 0.0)
 
 
-def test_tv_bound_assembly():
-    lam = 4.0
-    got = chen_stein_tv_bound(0.1, 0.2, 0.3, lam)
-    assert got == pytest.approx((0.1 + 0.2) * 0.25 + 0.3 * 0.5)
-    assert chen_stein_tv_bound(0.1, 0.2, 0.0, 0.5) == pytest.approx(0.3)
-    with pytest.raises(ParameterError):
-        chen_stein_tv_bound(-0.1, 0.2, 0.0, 1.0)
-    with pytest.raises(ParameterError):
-        chen_stein_tv_bound(0.1, 0.2, 0.0, 0.0)
-    with pytest.raises(ParameterError):
-        chen_stein_tv_bound(0.1, math.inf, 0.0, 1.0)
-
-
 # --- Poisson approximation, observed ---
 
 
-def _tv_oracle(counts, lam):
-    """TV over k = 0..max(max count, 10), the table taken from the
-    factorial series and the Poisson mass beyond it as one more cell."""
+def _tv_oracle(counts, lam, pmf=poisson_pmf_factorial):
+    """TV over k = 0..max(max count, 10), the table pmf(lam, k_max), by
+    default the factorial series, and the Poisson mass beyond it as one
+    more cell."""
     counts = np.asarray(counts)
     k_max = max(int(counts.max()), 10)
-    want = poisson_pmf_factorial(lam, k_max)
+    want = pmf(lam, k_max)
     observed = np.bincount(counts, minlength=k_max + 1) / counts.size
     return 0.5 * np.abs(observed - want).sum() + 0.5 * (1.0 - want.sum())
 
@@ -621,6 +613,16 @@ def test_poisson_pmf_matches_factorial_series():
         counts = rng.poisson(lam, 200)
         assert tv_to_poisson(counts, lam) == pytest.approx(_tv_oracle(counts, lam),
                                                            abs=1e-14)
+
+
+@pytest.mark.parametrize("lam", [760.0, 1100.0])
+def test_tv_to_poisson_past_exp_underflow(lam):
+    # exp(-lam) underflows past lam ~ 745, and so does the factorial series
+    from scipy.stats import poisson
+    counts = np.random.default_rng(int(lam)).poisson(lam, 400)
+    want = _tv_oracle(counts, lam, lambda lam, k_max: poisson.pmf(np.arange(k_max + 1), lam))
+    assert 0.0 < want < 1.0
+    assert tv_to_poisson(counts, lam) == pytest.approx(want, abs=1e-12)
 
 
 def test_poisson_pmf_edge_cases():
