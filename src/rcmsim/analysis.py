@@ -39,7 +39,7 @@ class TrialRecord:
 
 def isolated_count(sample: NetworkSample) -> int:
     """Number of degree-zero nodes."""
-    return int(_isolated(np.zeros(sample.n_points, dtype=np.intp), sample.edges, 1)[0])
+    return int(_isolated(np.array([0, sample.n_points]), sample.edges)[0])
 
 
 def components(sample: NetworkSample) -> tuple[int, bool]:
@@ -47,7 +47,7 @@ def components(sample: NetworkSample) -> tuple[int, bool]:
 
     Empty and singleton graphs count as connected.
     """
-    count = int(_components(np.zeros(sample.n_points, dtype=np.intp), sample.edges, 1)[0])
+    count = int(_components(np.array([0, sample.n_points]), sample.edges)[0])
     return count, count <= 1
 
 
@@ -72,11 +72,10 @@ def stack_records(params: SampleParams, offsets: np.ndarray, edges: np.ndarray,
     coupled: edges is the square graph, and the records split its isolated
     nodes across the two metrics."""
     n_points = np.diff(offsets)
-    trials = n_points.size
-    trial = np.repeat(np.arange(trials), n_points)  # each node's trial
-    n_edges = np.bincount(trial[edges[:, 0]], minlength=trials).tolist()
-    isolated = _isolated(trial, edges, trials).tolist()
-    n_components = _components(trial, edges, trials).tolist()
+    # edges are sorted by their first column, so each trial's are a block
+    n_edges = np.diff(np.searchsorted(edges[:, 0], offsets.astype(edges.dtype))).tolist()
+    isolated = _isolated(offsets, edges).tolist()
+    n_components = _components(offsets, edges).tolist()
     records = []
     for k, n in enumerate(n_points.tolist()):
         m, c = n_edges[k], n_components[k]
@@ -88,31 +87,36 @@ def stack_records(params: SampleParams, offsets: np.ndarray, edges: np.ndarray,
         return records
     return [replace(rec, metric="coupled", isolated_torus=iso_t,
                     isolated_square=rec.isolated, isolated_boundary=rec.isolated - iso_t)
-            for rec, iso_t in zip(records, _isolated(trial, torus_edges, trials).tolist())]
+            for rec, iso_t in zip(records, _isolated(offsets, torus_edges).tolist())]
 
 
-def _isolated(trial: np.ndarray, edges: np.ndarray, trials: int) -> np.ndarray:
-    """Degree-zero nodes of each of `trials` stacked trials, node i in
-    trial[i]."""
-    degree = np.bincount(edges.ravel(), minlength=trial.size)
-    return np.bincount(trial[degree == 0], minlength=trials)
+def _isolated(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Degree-zero nodes of each stacked trial, trial k on the nodes
+    offsets[k] .. offsets[k + 1] - 1."""
+    # a column at a time, as bincount reads int32 through an int64 copy
+    degree = np.bincount(edges[:, 0], minlength=offsets[-1])
+    degree += np.bincount(edges[:, 1], minlength=offsets[-1])
+    return np.diff(np.searchsorted(np.flatnonzero(degree == 0), offsets))
 
 
-def _components(trial: np.ndarray, edges: np.ndarray, trials: int) -> np.ndarray:
-    """Connected components of each of `trials` stacked trials, node i in
-    trial[i], from one connected_components call over their
-    block-diagonal union.  The CSR adjacency is read straight off the edge
-    list, sorted lexicographically with i < j, so row i's neighbours are
-    one sorted slice of edges[:, 1].  A component lies in one trial, which
-    owns it; an empty trial owns none."""
+def _components(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Connected components of each stacked trial, trial k on the nodes
+    offsets[k] .. offsets[k + 1] - 1, from one connected_components call
+    over their block-diagonal union.  The CSR adjacency is read straight
+    off the edge list, sorted lexicographically with i < j, so row i's
+    neighbours are one sorted slice of edges[:, 1].  A component lies in
+    one trial, which owns it; an empty trial owns none."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n = trial.size
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=n))))
-    # float64 weights, as connected_components would copy any other dtype
-    graph = csr_matrix((np.ones(edges.shape[0]), edges[:, 1], indptr), shape=(n, n))
+    n, trials = int(offsets[-1]), offsets.size - 1
+    # zero weights, which a sparse csgraph keeps as edges: fresh zeros take
+    # no memory until written, and scipy only reads them for its transpose.
+    # The indices go contiguous, as connected_components fails on strided ones
+    graph = csr_matrix((np.zeros(edges.shape[0]), np.ascontiguousarray(edges[:, 1]),
+                        np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=n))))),
+                       shape=(n, n))
     count, labels = connected_components(graph, directed=False)
     owner = np.empty(count, dtype=np.intp)
-    owner[labels] = trial
+    owner[labels] = np.repeat(np.arange(trials), np.diff(offsets))
     return np.bincount(owner, minlength=trials)

@@ -18,15 +18,16 @@ When the torus cannot fit 2k + 1 columns the grid is a single cell, whose
 triangle lists every pair; there is no separate O(n^2) path.  Points are
 put in cell order by two stable radix passes on 16-bit cell coordinates,
 and each cell's start is a running count of the points before it.
-Candidate pairs are realized in cell order and in slices of fixed size,
-so memory stays bounded for any density and kernel support.  A
-squared-distance filter with slack keeps a superset of the pairs in
-range.  A table over bins of the squared distance, built once per kernel
-and r, brackets g between lo and hi.  Pairs in a bin where g is exactly 1
-are edges and draw no coin; each other pair's coin is decided exactly on
-its integer hash word against the bin's bounds as words, hi first, and
-only the pairs in between (about 0.1%) take the exact hypot test and g.
-Edges are sorted by the int64 key i * n + j.
+Candidate pairs are realized in cell order, for blocks of sources and in
+slices of fixed size, so the scratch memory stays bounded for any density
+and kernel support.  A squared-distance filter with slack keeps a
+superset of the pairs in range.  A table over bins of the squared
+distance, built once per kernel and r, brackets g between lo and hi.
+Pairs in a bin where g is exactly 1 are edges and draw no coin; each
+other pair's coin is decided exactly on its integer hash word against the
+bin's bounds as words, hi first, and only the pairs in between (about
+0.1%) take the exact hypot test and g.  The edge keys i * n + j (int64)
+grow in one buffer, are sorted in place and split into int32 pairs.
 The coupled metric draws nothing of its own: its square graph is the
 torus graph less the wrapping edges.
 
@@ -61,9 +62,10 @@ _COIN_BINS = 1024
 _G_SLACK = 1e-14
 
 # candidate pairs realized at once (a slice overshoots by at most one
-# source's run); the scratch memory grows with it, about 2.2 MB traced at
-# 2^14 and 3.9 MB at 2^15 on a Gaussian trial at rho 2000, whose graph
-# takes as long at either size; 2^16 (7.3 MB) is no faster
+# source's run), and sources scanned at once; the scratch memory grows
+# with it, about 2.0 MiB traced at 2^14 and 3.7 MiB at 2^15 on a Gaussian
+# trial at rho 2000, whose graph takes as long at either size; 2^16
+# (7.0 MiB) is no faster
 _SLICE_PAIRS = 1 << 14
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class NetworkSample:
     """One realized graph.
 
     points is an (n, 2) float array of unit-cell coordinates (row i is
-    point i); edges is an (m, 2) int array with i < j, sorted
+    point i); edges is an (m, 2) int32 array with i < j, sorted
     lexicographically, so equal graphs compare equal.
     """
 
@@ -148,10 +150,13 @@ def stack_points(params: SampleParams, trials: int) -> tuple[np.ndarray, np.ndar
                        _trial_keys(params, trials, streams.TAG_POINT_COUNT).tolist()],
                       dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    keys = _trial_keys(params, trials, streams.TAG_POINT_COORDS)
-    # each trial counts its coordinates from 0
-    u = streams.uniform_array(np.repeat(keys, 2 * counts), _local_index(2 * offsets))
-    return u.reshape(-1, 2) + LO, offsets
+    # each trial counts its coordinates from 0; the words become uniforms
+    # in their own 8 bytes, as streams.unit_array takes them
+    h = streams.stacked_words(_trial_keys(params, trials, streams.TAG_POINT_COORDS), 2 * counts)
+    points = h.view(np.float64).reshape(-1, 2)
+    np.multiply(np.right_shift(h, np.uint64(11), out=h), 2.0**-53, out=points.reshape(-1))
+    points += LO
+    return points, offsets
 
 
 def build_graph(params: SampleParams, points: np.ndarray) -> NetworkSample:
@@ -175,7 +180,10 @@ def stack_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray) -
     """The edges of the trials that stack_points stacks, as build_graph
     realizes each of them, over the stacked rows and sorted, so trial k's
     edges come k-th.  The trials share one grid side, from their mean
-    number of points."""
+    number of points.  Edges hold int32 rows, so a stack holds at most
+    2^31 points."""
+    if points.shape[0] > 1 << 31:
+        raise ParameterError(f"{points.shape[0]} points exceed the 2^31 rows of int32 edges")
     m = _grid_side(params.r * params.model.cutoff, points.shape[0] // (offsets.size - 1),
                    params.metric is Metric.TORUS)
     return _grid_edges(params, points, offsets, m)
@@ -296,49 +304,60 @@ def _trial_keys(params: SampleParams, trials: int, tag: int) -> np.ndarray:
                      for t in range(first, first + trials)], dtype=np.uint64)
 
 
-def _local_index(offsets: np.ndarray) -> np.ndarray:
-    # each position's index within its segment offsets[k] .. offsets[k + 1] - 1
-    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
-
-
 def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray,
                 m: int) -> np.ndarray:
     """Edges of stacked trials over an m x m bucket grid per trial, trial k
-    holding the rows offsets[k] .. offsets[k + 1] - 1; sorted
-    lexicographically over the stacked rows."""
-    n, trials = points.shape[0], offsets.size - 1
-    X, Y = (points[:, 0] - LO) * m, (points[:, 1] - LO) * m
-    cx = np.clip(X.astype(np.int64), 0, m - 1)
-    cy = np.clip(Y.astype(np.int64), 0, m - 1)
-    # the stacked grid's column tc = t0 + cx, with t0 = trial * m; cell
-    # order (tc, row, index) by two stable passes that numpy runs as radix
-    # sorts on 16-bit keys, rows first.  m <= 4096, and tc fits 16 bits in
-    # every batch a campaign makes; wider keys sort the same, only slower
-    t0 = np.repeat(np.arange(0, trials * m, m), np.diff(offsets))
-    tc = t0 + cx
-    by_row = np.argsort(cy.astype(np.uint16), kind="stable")
-    order = by_row[np.argsort(tc[by_row].astype(np.min_scalar_type(trials * m - 1)),
-                              kind="stable")]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(tc * m + cy,
-                                                        minlength=trials * m * m))))
-    runs = _scan_runs(X[order], Y[order], cx[order], cy[order], t0[order], starts, m,
-                      params.r * params.model.cutoff, params.metric is Metric.TORUS)
-    local = _local_index(offsets)
-    keys = _trial_keys(params, trials, streams.TAG_EDGES)
-    words = streams.word_array(np.repeat(keys, np.diff(offsets)), local)
-    lg = local.astype(np.uint64) * np.uint64(streams.GOLDEN)
-    pair = np.sort(_expand_runs(params, points, order, words, lg, runs))
-    return np.column_stack((pair // n, pair % n))
+    holding the rows offsets[k] .. offsets[k + 1] - 1; int32, sorted
+    lexicographically over the stacked rows.  The keys are sorted in place
+    and split straight into the edge array."""
+    pair = np.frombuffer(_expand_runs(params, points, offsets, m), dtype=np.int64)
+    pair.sort()
+    edges = np.empty((pair.size, 2), dtype=np.int32)
+    np.divmod(pair, points.shape[0], out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
-def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-               t0: np.ndarray, starts: np.ndarray, m: int, reach: float, torus: bool):
-    """Groups of candidate runs over points sorted by cell, given in cell
-    units with their cell's column and row, and their trial's first column
-    t0 = trial * m of the stacked grid; cell c = (t0 + column) * m + row
-    holds the positions starts[c] .. starts[c + 1] - 1.  A group is as many columns as
-    make about _SLICE_PAIRS candidates, so the runs held at once stay
-    O(n + _SLICE_PAIRS) whatever k is.
+def _cells(c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # coordinates in cell widths from the grid's low edge, and their cell
+    # 0 .. m - 1 (c - LO rounds up to 1 just below 1/2)
+    u = c - LO
+    u *= m
+    k = u.astype(np.int64)
+    np.clip(k, 0, m - 1, out=k)
+    return u, k
+
+
+def _cell_order(points: np.ndarray, counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked points in cell order (tc, row, index), where tc = trial
+    * m + column is the column of the stacked grid, and the cells' starts:
+    cell c = tc * m + row holds the positions starts[c] .. starts[c + 1] -
+    1.  Two stable passes that numpy runs as radix sorts on 16-bit keys,
+    rows first.  m <= 4096, and tc fits 16 bits in every batch a campaign
+    makes; wider keys sort the same, only slower.  Each n-length array is
+    dropped once used, so that few are alive at once."""
+    trials = counts.size
+    tc = _cells(points[:, 0], m)[1]
+    tc += np.repeat(np.arange(0, trials * m, m), counts)
+    row = _cells(points[:, 1], m)[1]
+    cell = tc * m
+    cell += row
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=trials * m * m))))
+    del cell
+    by_row = np.argsort(row.astype(np.uint16), kind="stable")
+    del row
+    tc = tc.astype(np.min_scalar_type(trials * m - 1))
+    return by_row[np.argsort(tc[by_row], kind="stable")], starts
+
+
+def _scan_runs(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray, starts: np.ndarray,
+               m: int, reach: float, torus: bool):
+    """Groups of candidate runs over the stacked points in cell order,
+    trial k on the positions offsets[k] .. offsets[k + 1] - 1; cell c =
+    (trial * m + column) * m + row holds the positions starts[c] ..
+    starts[c + 1] - 1.  Sources go in blocks of _SLICE_PAIRS positions,
+    and a group is as many columns of blocks as make about _SLICE_PAIRS
+    candidates, so the memory held at once is O(_SLICE_PAIRS) beyond the
+    coordinates, whatever n and k are.
 
     A run is (source position, first position, count): the source pairs
     with the next `count` points.  A source scans the columns cx .. cx + k
@@ -347,67 +366,84 @@ def _scan_runs(X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
     In its own column it starts after itself, so every unordered pair
     within reach is a candidate exactly once.
     """
-    n = X.size
     span = _span(reach, m)
-    pos = np.arange(n)
-    group, size = [], 0
     columns = int(span) + 2 if m > 1 else 1
-    for ox in range(columns):
-        # rows bottom .. top of column cx + ox come within reach; h < k, so
-        # they are at most 2k + 1
-        tx = cx + ox
-        base = (t0 + (tx % m if torus else np.minimum(tx, m - 1))) * m
-        if ox:
-            gap = np.maximum(tx - X, 0.0)
-            h = np.sqrt(np.maximum(span * span - gap * gap, 0.0))
-            bottom = np.floor(Y - h).astype(np.int64)
-            first = starts[base + np.clip(bottom, 0, m)]
-        else:
-            h, bottom, first = span, cy + 1, pos + 1
-        top = np.floor(Y + h).astype(np.int64)
-        count = starts[base + np.minimum(top, m - 1) + 1] - first
-        if torus and m > 1:
-            # the rows past either edge, wrapped: at most one side, as 2k + 1 <= m
-            w = np.flatnonzero((bottom < 0) | (top >= m))
-            below = bottom[w] < 0
-            wfirst = starts[base[w] + np.where(below, bottom[w] + m, 0)]
-            wend = starts[base[w] + np.where(below, m, top[w] - m + 1)]
-            group.append((np.concatenate((pos, w)), np.concatenate((first, wfirst)),
-                          np.concatenate((count, wend - wfirst))))
-        else:
-            count[tx >= m] = 0  # columns past the square's edge
-            group.append((pos, first, count))
-        size += int(group[-1][2].sum())
-        if size >= _SLICE_PAIRS or ox == columns - 1:
-            yield tuple(np.concatenate(part) for part in zip(*group))
-            group, size = [], 0
+    group, size = [], 0
+    for a in range(0, xs.size, _SLICE_PAIRS):
+        b = min(a + _SLICE_PAIRS, xs.size)
+        src = np.arange(a, b)
+        X, cx = _cells(xs[a:b], m)
+        Y, cy = _cells(ys[a:b], m)
+        t0 = (np.searchsorted(offsets, src, side="right") - 1) * m  # the trial's first column
+        for ox in range(columns):
+            group.append(_column_runs(src, X, Y, cx, cy, t0, starts, m, span, torus, ox))
+            size += int(group[-1][2].sum())
+            if size >= _SLICE_PAIRS or (b == xs.size and ox == columns - 1):
+                yield group[0] if len(group) == 1 else tuple(map(np.concatenate, zip(*group)))
+                group, size = [], 0
 
 
-def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
-                 words: np.ndarray, lg: np.ndarray, runs) -> np.ndarray:
-    """Realize each group (src, first, count) of candidate runs: the pairs
-    of cell-order positions (src[k], first[k] + t), t < count[k], where
-    position p holds point order[p], about _SLICE_PAIRS candidates at a
-    time; returns edge keys lo * n + hi.
+def _column_runs(src, X, Y, cx, cy, t0, starts, m: int, span: float, torus: bool, ox: int):
+    # the runs (src, first, count) of the sources src, at X, Y in cell
+    # units in the cells cx, cy, in the column cx + ox: the rows bottom ..
+    # top come within reach; h < k, so they are at most 2k + 1
+    tx = cx + ox
+    base = (t0 + (tx % m if torus else np.minimum(tx, m - 1))) * m
+    if ox:
+        gap = np.maximum(tx - X, 0.0)
+        h = np.sqrt(np.maximum(span * span - gap * gap, 0.0))
+        bottom = np.floor(Y - h).astype(np.int64)
+        first = starts[base + np.clip(bottom, 0, m)]
+    else:
+        h, bottom, first = span, cy + 1, src + 1
+    top = np.floor(Y + h).astype(np.int64)
+    count = starts[base + np.minimum(top, m - 1) + 1] - first
+    if torus and m > 1:
+        # the rows past either edge, wrapped: at most one side, as 2k + 1 <= m
+        w = np.flatnonzero((bottom < 0) | (top >= m))
+        below = bottom[w] < 0
+        wfirst = starts[base[w] + np.where(below, bottom[w] + m, 0)]
+        wend = starts[base[w] + np.where(below, m, top[w] - m + 1)]
+        return (np.concatenate((src, src[w])), np.concatenate((first, wfirst)),
+                np.concatenate((count, wend - wfirst)))
+    count[tx >= m] = 0  # columns past the square's edge
+    return src, first, count
+
+
+def _expand_runs(params: SampleParams, points: np.ndarray, offsets: np.ndarray,
+                 m: int) -> bytearray:
+    """The edge keys lo * n + hi of stacked trials over an m x m grid per
+    trial, in cell order, in one buffer that grows in place (pieces joined
+    at the end would hold every key twice): the points go in cell order,
+    position p holding point order[p], and each group (src, first, count)
+    of candidate runs of _scan_runs is realized as the pairs of positions
+    (src[k], first[k] + t), t < count[k], about _SLICE_PAIRS candidates at
+    a time.
 
     The squared distance with slack keeps a superset of the pairs in
     range.  A pair in a bin where g is 1 (lo = 1) is an edge and draws no
-    coin.  The others hash word_array(words[lo], local[hi]), local[hi]
-    premultiplied as lg = local * GOLDEN, and decide on w = h >> 11
-    against the words of _coin_words: w >= Hi is none, which settles
-    about 96% of them in one pass, w < Lo is an edge, and the pairs in
-    between take u = w 2^-53 and the exact test: hypot, d <= reach and
-    u < g(d / r).  The torus fold is odd and hypot even in the
-    difference, so a pair's distance does not depend on its point order."""
-    n = order.size
-    xs, ys = points[order, 0], points[order, 1]
+    coin.  The others hash word_array(words[lo], hi - offsets[k]) for a
+    pair of trial k, which is words[lo] - GOLDEN offsets[k] + GOLDEN hi:
+    the trial's offset is folded into its points' words once.  The coin
+    decides on w = h >> 11 against the words of _coin_words: w >= Hi is
+    none, which settles about 96% of them in one pass, w < Lo is an edge,
+    and the pairs in between take u = w 2^-53 and the exact test: hypot,
+    d <= reach and u < g(d / r).  The torus fold is odd and hypot even in
+    the difference, so a pair's distance does not depend on its point
+    order."""
+    n, counts = points.shape[0], np.diff(offsets)
     torus = params.metric is Metric.TORUS
     r, g = params.r, params.model.g
     reach = r * params.model.cutoff
     bound, scale, lo_bin, _ = _coin_brackets(params.model, r, _COIN_BINS)
     lo_word, hi_word = _coin_words(params.model, r, _COIN_BINS)
     free = int(np.count_nonzero(lo_bin >= 1.0))  # the coin-free bins 0 .. free - 1
-    parts = []
+    words = streams.stacked_words(_trial_keys(params, counts.size, streams.TAG_EDGES), counts)
+    words -= np.repeat(offsets[:-1].astype(np.uint64) * np.uint64(streams.GOLDEN), counts)
+    order, starts = _cell_order(points, counts, m)
+    xs, ys = points[order, 0], points[order, 1]
+    runs = _scan_runs(xs, ys, offsets, starts, m, reach, torus)
+    keys = bytearray()
     for src, first, count in runs:
         offs = np.concatenate(([0], np.cumsum(count)))
         cuts = np.searchsorted(offs, np.arange(_SLICE_PAIRS, offs[-1], _SLICE_PAIRS))
@@ -430,10 +466,10 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
             k = (q[near] * scale).astype(np.intp)
             if free:
                 sure = k < free
-                parts.append(lo[sure] * n + hi[sure])
+                keys += (lo[sure] * n + hi[sure]).tobytes()
                 rest = np.flatnonzero(~sure)
                 near, lo, hi, k = near[rest], lo[rest], hi[rest], k[rest]
-            h, tmp = lg[hi], words[lo]
+            h, tmp = hi.view(np.uint64) * np.uint64(streams.GOLDEN), words[lo]
             h += tmp
             streams._mix64_inplace(h, tmp)
             w = np.right_shift(h, np.uint64(11), out=tmp).view(np.int64)
@@ -445,5 +481,5 @@ def _expand_runs(params: SampleParams, points: np.ndarray, order: np.ndarray,
                 d = np.hypot(dx[e], dy[e])
                 connected[unsure] = (d <= reach) & (streams.unit_array(h[s]) < g(d / r))
             c = c[connected]
-            parts.append(lo[c] * n + hi[c])
-    return np.concatenate(parts)
+            keys += (lo[c] * n + hi[c]).tobytes()
+    return keys

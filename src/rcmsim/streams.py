@@ -85,6 +85,19 @@ def word_array(key, counters: np.ndarray) -> np.ndarray:
     return _mix64_inplace(z)
 
 
+def stacked_words(keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """word_array(keys[k], arange(lengths[k])) for each k, concatenated.
+    Counter c of stream k sits at slot s = starts[k] + c of the stack, so
+    its word hashes (keys[k] - GOLDEN starts[k]) + GOLDEN s: the words are
+    built in their own array, with no counter array beside it."""
+    starts = np.cumsum(lengths) - lengths
+    with np.errstate(over="ignore"):
+        z = np.repeat(np.asarray(keys, dtype=np.uint64)
+                      - starts.astype(np.uint64) * np.uint64(GOLDEN), lengths)
+        z += np.arange(z.size, dtype=np.uint64) * np.uint64(GOLDEN)
+    return _mix64_inplace(z)
+
+
 def unit_array(h: np.ndarray) -> np.ndarray:
     """Top 53 bits of uint64 words -> [0, 1), as `uniform` takes them."""
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53

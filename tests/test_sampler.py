@@ -137,7 +137,7 @@ def test_exact_scan_matches_grid_across_slices():
     grid = build_graph(p, pts).edges
     exact = sampler._grid_edges(p, pts, np.array([0, n]), 1)
     assert np.array_equal(grid, exact)
-    assert exact.dtype == np.int64 and exact.flags.c_contiguous
+    assert exact.dtype == np.int32 and exact.flags.c_contiguous
 
 
 @pytest.mark.parametrize("metric", [Metric.TORUS, Metric.SQUARE])
@@ -283,7 +283,7 @@ def test_build_graph_memory_is_bounded():
     # table at rho 5000 about 3e6 over 8 columns of cells; both are
     # realized a group of columns and a slice at a time, never held at once
     wide = table_model([(0.0, 1.0), (0.5, 0.008), (80.0, 0.008), (80.01, 0.0)])
-    for model, rho, limit in ((GAUSS, 2e4, 21e6), (wide, 5000.0, 10e6)):
+    for model, rho, limit in ((GAUSS, 2e4, 6.6e6), (wide, 5000.0, 3.3e6)):
         p = _params(rho, 0.0, model=model, seed=3)
         pts = sample_points(p)
         tracemalloc.start()
@@ -293,6 +293,45 @@ def test_build_graph_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < limit, (model.kind, peak)
+
+
+def test_stack_memory_stays_near_the_edge_list():
+    # one unit-disk torus trial at rho 2e5: each stage's traced peak over
+    # what was allocated before it.  Edges are int32 pairs, 8 bytes; the
+    # bounds are per edge, against the 16 bytes of an int64 pair.  The keys
+    # take 8 bytes per edge, the points' cell order and coordinates about 40
+    # per point; the components call holds scipy's CSR and its transpose
+    import scipy.sparse.csgraph  # noqa: F401  its first import is no stage's
+
+    from rcmsim.analysis import stack_records
+
+    def traced(stage, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = stage(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+
+    p = _params(2e5, 0.0, seed=3)
+    tracemalloc.start()
+    try:
+        (pts, offsets), points_peak = traced(sampler.stack_points, p, 1)
+        edges, edges_peak = traced(sampler.stack_edges, p, pts, offsets)
+        records_peak = traced(stack_records, p, offsets, edges)[1]
+    finally:
+        tracemalloc.stop()
+    pair = 16 * edges.shape[0]
+    assert edges.shape[0] > 1_000_000
+    assert points_peak <= 3.0 * pts.nbytes, points_peak / pts.nbytes
+    assert edges_peak <= 1.25 * pair, edges_peak / pair
+    assert records_peak <= 1.78 * pair, records_peak / pair
+
+
+def test_stack_edges_rejects_rows_past_int32():
+    # a zero-stride array stands for 2^31 + 1 points without their memory
+    n = 2**31 + 1
+    with pytest.raises(ParameterError, match="2\\^31"):
+        sampler.stack_edges(_params(100.0, 0.0), np.broadcast_to([0.0, 0.0], (n, 2)),
+                            np.array([0, n]))
 
 
 def test_edge_probability_frequency():

@@ -36,6 +36,17 @@ def test_uniform_scalar_matches_array():
     assert np.array_equal(arr, sc)
 
 
+def test_stacked_words_match_each_stream():
+    # streams of every length, empty ones included, each counted from 0
+    keys = np.array([streams.stream_key(8, t, streams.TAG_POINT_COORDS) for t in range(5)],
+                    dtype=np.uint64)
+    lengths = np.array([3, 0, 1000, 1, 0])
+    want = [streams.word_array(k, np.arange(n)) for k, n in zip(keys, lengths)]
+    assert np.array_equal(streams.stacked_words(keys, lengths), np.concatenate(want))
+    got = streams.unit_array(streams.stacked_words(keys[2:3], lengths[2:3]))
+    assert np.array_equal(got, [streams.uniform(int(keys[2]), c) for c in range(1000)])
+
+
 def test_uniform_range_and_moments():
     key = streams.stream_key(7, 0, 8)
     u = streams.uniform_array(key, np.arange(1_000_000, dtype=np.uint64))
