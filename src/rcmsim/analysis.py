@@ -39,7 +39,8 @@ class TrialRecord:
 
 def isolated_count(sample: NetworkSample) -> int:
     """Number of degree-zero nodes."""
-    return int(_isolated(np.array([0, sample.n_points]), sample.edges)[0])
+    offsets = np.array([0, sample.n_points])
+    return int(_isolated(offsets, _alone(offsets, sample.edges))[0])
 
 
 def components(sample: NetworkSample) -> tuple[int, bool]:
@@ -60,21 +61,24 @@ def coupled_statistics(coupled: CoupledSample) -> TrialRecord:
     """Record for a coupled trial: square-graph stats plus the isolation
     split across the two metrics."""
     return stack_records(coupled.params, np.array([0, coupled.n_points]),
-                         coupled.square_edges, coupled.torus_edges)[0]
+                         coupled.square_edges, coupled.removed_edges)[0]
 
 
 def stack_records(params: SampleParams, offsets: np.ndarray, edges: np.ndarray,
-                  torus_edges: np.ndarray | None = None) -> list[TrialRecord]:
+                  seam_edges: np.ndarray | None = None) -> list[TrialRecord]:
     """Records of the trials params.trial_index, ... stacked as
     sampler.stack_points stacks them, trial k on the rows offsets[k] ..
     offsets[k + 1] - 1, with edges over the stacked rows as
-    sampler.stack_edges gives them.  With torus_edges the trials are
-    coupled: edges is the square graph, and the records split its isolated
-    nodes across the two metrics."""
+    sampler.stack_edges gives them.  With seam_edges the trials are
+    coupled: edges is the square graph, seam_edges holds torus edges
+    across the seam, and a node that neither touches is torus-isolated.
+    The seam edges need only be complete at the nodes that edges leaves
+    isolated, as sampler.stack_coupled_edges gives them."""
     n_points = np.diff(offsets)
     # edges are sorted by their first column, so each trial's are a block
     n_edges = np.diff(np.searchsorted(edges[:, 0], offsets.astype(edges.dtype))).tolist()
-    isolated = _isolated(offsets, edges).tolist()
+    alone = _alone(offsets, edges)
+    isolated = _isolated(offsets, alone).tolist()
     n_components = _components(offsets, edges).tolist()
     records = []
     for k, n in enumerate(n_points.tolist()):
@@ -83,20 +87,27 @@ def stack_records(params: SampleParams, offsets: np.ndarray, edges: np.ndarray,
             rho=params.rho, b=params.b, metric=params.metric.value,
             trial=params.trial_index + k, n_points=n, n_edges=m, isolated=isolated[k],
             n_components=c, connected=c <= 1, mean_degree=(2.0 * m / n) if n else 0.0))
-    if torus_edges is None:
+    if seam_edges is None:
         return records
+    alone[seam_edges[:, 0]] = False
+    alone[seam_edges[:, 1]] = False
     return [replace(rec, metric="coupled", isolated_torus=iso_t,
                     isolated_square=rec.isolated, isolated_boundary=rec.isolated - iso_t)
-            for rec, iso_t in zip(records, _isolated(offsets, torus_edges).tolist())]
+            for rec, iso_t in zip(records, _isolated(offsets, alone).tolist())]
 
 
-def _isolated(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Degree-zero nodes of each stacked trial, trial k on the nodes
-    offsets[k] .. offsets[k + 1] - 1."""
+def _alone(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Mask of the degree-zero nodes 0 .. offsets[-1] - 1."""
     # a column at a time, as bincount reads int32 through an int64 copy
     degree = np.bincount(edges[:, 0], minlength=offsets[-1])
     degree += np.bincount(edges[:, 1], minlength=offsets[-1])
-    return np.diff(np.searchsorted(np.flatnonzero(degree == 0), offsets))
+    return degree == 0
+
+
+def _isolated(offsets: np.ndarray, alone: np.ndarray) -> np.ndarray:
+    """The nodes that alone marks in each stacked trial, trial k on the
+    nodes offsets[k] .. offsets[k + 1] - 1."""
+    return np.diff(np.searchsorted(np.flatnonzero(alone), offsets))
 
 
 def _components(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:

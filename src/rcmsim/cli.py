@@ -52,8 +52,8 @@ from .errors import ConfigError, ModelError, ParameterError, QuadratureError, Rc
 from .geometry import Metric
 from .models import (ConnectionModel, gaussian, load_table, log_normal,
                      table_model, unit_disk)
-from .sampler import (SampleParams, stack_edges, stack_points, truncation_bias,
-                      unwrapped)
+from .sampler import (SampleParams, stack_coupled_edges, stack_edges, stack_points,
+                      truncation_bias)
 from .theory import (ChenSteinParams, chen_stein_terms, theory_report,
                      tv_to_poisson)
 
@@ -289,16 +289,18 @@ class _IoFailure(RuntimeError):
 def _run_trials(model: ConnectionModel, metric: str, seed: int,
                 task: tuple[float, float, int, int]) -> list[TrialRecord]:
     """The records of the trials start .. stop - 1 of the cell (rho, b),
-    realized as one batch: one sampler pass and one components call."""
+    realized as one batch: one sampler pass and one components call.  A
+    coupled batch realizes the torus seam only at lone nodes, those that
+    no square edge touches (sampler.stack_coupled_edges): isolated_torus
+    reads nothing else of the torus graph, so it stays exact."""
     rho, b, start, stop = task
     coupled = metric == "coupled"
     params = SampleParams(rho, b, model, Metric.TORUS if coupled else Metric(metric),
                           seed, start)
     points, offsets = stack_points(params, stop - start)
-    edges = stack_edges(params, points, offsets)
     if coupled:
-        return stack_records(params, offsets, edges[unwrapped(params, points, edges)], edges)
-    return stack_records(params, offsets, edges)
+        return stack_records(params, offsets, *stack_coupled_edges(params, points, offsets))
+    return stack_records(params, offsets, stack_edges(params, points, offsets))
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1

@@ -70,26 +70,12 @@ def uniform(key: int, counter: int) -> float:
     return (mix64((key + GOLDEN * counter) & MASK64) >> 11) * 2.0**-53
 
 
-def uniform_array(key: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized `uniform` over a uint64 counter array."""
-    return unit_array(word_array(key, counters))
-
-
-def word_array(key, counters: np.ndarray) -> np.ndarray:
-    """The words of `uniform` over a counter array; `key` is one key or an
-    array of them.  The coin of the pair (i, j), i < j, is the uniform at
-    counter j of the stream word_array(key, i), computed once per point."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(counters, dtype=np.uint64) * np.uint64(GOLDEN)
-        z += np.asarray(key, dtype=np.uint64)
-    return _mix64_inplace(z)
-
-
 def stacked_words(keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """word_array(keys[k], arange(lengths[k])) for each k, concatenated.
-    Counter c of stream k sits at slot s = starts[k] + c of the stack, so
-    its word hashes (keys[k] - GOLDEN starts[k]) + GOLDEN s: the words are
-    built in their own array, with no counter array beside it."""
+    """The words of `uniform` at the counters 0 .. lengths[k] - 1 of the
+    stream keys[k], for each k, concatenated: counter c hashes key + GOLDEN
+    c.  Counter c of stream k sits at slot s = starts[k] + c of the stack,
+    so its word hashes (keys[k] - GOLDEN starts[k]) + GOLDEN s: the words
+    are built in their own array, with no counter array beside it."""
     starts = np.cumsum(lengths) - lengths
     with np.errstate(over="ignore"):
         z = np.repeat(np.asarray(keys, dtype=np.uint64)

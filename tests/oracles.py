@@ -19,7 +19,7 @@ import numpy as np
 from rcmsim import streams
 from rcmsim.analysis import TrialRecord
 from rcmsim.cli import TRIAL_COLUMNS
-from rcmsim.geometry import Metric
+from rcmsim.geometry import Metric, distance_arrays
 
 
 def scalar_distance(metric, p, q):
@@ -39,6 +39,30 @@ def pair_uniform(key, i, j):
     stream key at i keys a second hash at j, whose top 53 bits scale to [0, 1)."""
     h = streams.mix64((key + streams.GOLDEN * i) & streams.MASK64)
     return (streams.mix64((h + streams.GOLDEN * j) & streams.MASK64) >> 11) * 2.0**-53
+
+
+def word_array(key, counters):
+    """The words of streams.uniform over a counter array, through the
+    vectorized mix that test_streams checks against the scalar one; `key`
+    is one key or an array of them.  The coin of the pair (i, j), i < j,
+    is the uniform at counter j of the stream word_array(key, i)."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(counters, dtype=np.uint64) * np.uint64(streams.GOLDEN)
+        z += np.asarray(key, dtype=np.uint64)
+    return streams._mix64_inplace(z)
+
+
+def uniform_array(key, counters):
+    """streams.uniform over a counter array."""
+    return streams.unit_array(word_array(key, counters))
+
+
+def unwrapped(params, points, edges):
+    """Mask of the torus edges that do not wrap: those within r * cutoff
+    in the square metric."""
+    x, y = np.ascontiguousarray(points.T)
+    i, j = edges[:, 0], edges[:, 1]
+    return distance_arrays(Metric.SQUARE, x[i], y[i], x[j], y[j]) <= params.r * params.model.cutoff
 
 
 def brute_force_edges(params, points):

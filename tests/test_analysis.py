@@ -9,8 +9,8 @@ from rcmsim.geometry import Metric
 from rcmsim.models import gaussian, unit_disk
 from rcmsim.sampler import (NetworkSample, SampleParams, build_graph,
                             couple_torus_to_square, sample_points, stack_edges,
-                            stack_points, unwrapped)
-from oracles import bfs_components
+                            stack_points)
+from oracles import bfs_components, unwrapped
 
 UD = unit_disk()
 

@@ -16,8 +16,11 @@ from rcmsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK,
                         format_summary_csv, format_trials_csv, load_config,
                         main, parse_config, run_campaign,
                         summary_path, write_outputs)
+from rcmsim.analysis import coupled_statistics
 from rcmsim.errors import ConfigError, ModelError, ParameterError
-from oracles import read_trials_csv
+from rcmsim.geometry import Metric
+from rcmsim.sampler import SampleParams, couple_torus_to_square
+from oracles import brute_force_edges, read_trials_csv
 from test_theory import DENSE
 
 
@@ -269,6 +272,40 @@ def test_batched_trials_match_one_at_a_time(metric, kernel, monkeypatch):
     counts = [r.n_points for r in rows[:12]]
     assert rows[11].rho == 2.0 and counts[0] == counts[-1] == 0 and 0 in counts[1:-1]
     assert sum(r.n_edges for r in rows) > 0
+
+
+@pytest.mark.parametrize("kernel", [
+    {"kind": "unit_disk"}, {"kind": "gaussian"}, {"kind": "gaussian", "cutoff_eps": 0.1},
+    {"kind": "table", "knots": [[0.0, 1.0], [1.0, 0.6], [2.0, 0.0]]}],
+    ids=["unit_disk", "gaussian", "gaussian_eps01", "table3"])
+def test_coupled_rows_realize_the_seam_at_lone_nodes(kernel, monkeypatch):
+    # a coupled batch realizes a seam run only when its source or one of
+    # its targets is lone, touched by no square edge; every row must still
+    # be the full split's.  rho 2 and 5, and the Gaussian at rho 40, take
+    # the one-cell grid, whose every pair may fold.  At rho <= 400 the
+    # all-pairs oracle, which has no seam runs, counts the isolated nodes
+    # of both metrics.  b sets r * cutoff to at most 0.45
+    monkeypatch.setattr(cli, "_summarize_cell", lambda *args: None)
+    model = build_model(kernel)
+    boundary = torus = 0
+    for rho, trials in ((2.0, 12), (5.0, 12), (40.0, 8), (400.0, 2), (2000.0, 8)):
+        b = min(0.0, (0.45 / model.cutoff) ** 2 * model.C * rho - math.log(rho))
+        config = CampaignConfig(model, (rho,), (b,), "coupled", trials, 31, 0.25, "unused.csv",
+                                "csv")
+        for t, row in enumerate(run_campaign(config)[1]):
+            coupled = couple_torus_to_square(SampleParams(rho, b, model, Metric.TORUS, 31, t))
+            assert row == coupled_statistics(coupled), (rho, t)
+            if rho <= 400.0:
+                for metric, got in ((Metric.TORUS, row.isolated_torus),
+                                    (Metric.SQUARE, row.isolated_square)):
+                    p = SampleParams(rho, b, model, metric, 31, t)
+                    edges = brute_force_edges(p, coupled.points)
+                    degree = np.bincount(edges.ravel(), minlength=coupled.n_points)
+                    assert got == np.count_nonzero(degree == 0), (rho, t, metric)
+            boundary += row.isolated_boundary
+            torus += row.isolated_torus
+    # lone nodes with a seam edge, and lone nodes whose seam runs draw none
+    assert boundary > 0 and torus > 0
 
 
 def test_campaign_rejects_bad_worker_count(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rcmsim import streams
-from oracles import pair_uniform, poisson_pmf_factorial
+from oracles import pair_uniform, poisson_pmf_factorial, uniform_array, word_array
 
 
 def test_mix64_scalar_matches_vector():
@@ -31,7 +31,7 @@ def test_mix64_is_a_bijection_on_samples():
 def test_uniform_scalar_matches_array():
     key = streams.stream_key(123, 45, streams.TAG_EDGES)
     counters = np.arange(5000, dtype=np.uint64)
-    arr = streams.uniform_array(key, counters)
+    arr = uniform_array(key, counters)
     sc = np.array([streams.uniform(key, c) for c in range(5000)])
     assert np.array_equal(arr, sc)
 
@@ -41,7 +41,7 @@ def test_stacked_words_match_each_stream():
     keys = np.array([streams.stream_key(8, t, streams.TAG_POINT_COORDS) for t in range(5)],
                     dtype=np.uint64)
     lengths = np.array([3, 0, 1000, 1, 0])
-    want = [streams.word_array(k, np.arange(n)) for k, n in zip(keys, lengths)]
+    want = [word_array(k, np.arange(n)) for k, n in zip(keys, lengths)]
     assert np.array_equal(streams.stacked_words(keys, lengths), np.concatenate(want))
     got = streams.unit_array(streams.stacked_words(keys[2:3], lengths[2:3]))
     assert np.array_equal(got, [streams.uniform(int(keys[2]), c) for c in range(1000)])
@@ -49,7 +49,7 @@ def test_stacked_words_match_each_stream():
 
 def test_uniform_range_and_moments():
     key = streams.stream_key(7, 0, 8)
-    u = streams.uniform_array(key, np.arange(1_000_000, dtype=np.uint64))
+    u = uniform_array(key, np.arange(1_000_000, dtype=np.uint64))
     assert u.min() >= 0.0 and u.max() < 1.0
     # mean 1/2 sd 1/sqrt(12): allow 5 sigma
     assert abs(u.mean() - 0.5) < 5 * (1.0 / math.sqrt(12.0)) / 1000.0
@@ -65,7 +65,7 @@ def test_streams_differ_across_tags_trials_seeds():
 
 def _pair_words(key, i, j):
     # the composition the sampler runs: one word per point, then one per pair
-    return streams.unit_array(streams.word_array(streams.word_array(key, i), j))
+    return streams.unit_array(word_array(word_array(key, i), j))
 
 
 def test_pair_uniform_matches_array_and_is_order_canonical():
@@ -83,11 +83,11 @@ def test_point_words_give_pair_uniform():
     # the first round of pair_uniform depends on i alone: computed once per
     # point and gathered per pair, it gives the same coins bit for bit
     key = streams.stream_key(99, 4, streams.TAG_EDGES)
-    words = streams.word_array(key, np.arange(3000))
+    words = word_array(key, np.arange(3000))
     rng = np.random.default_rng(2)
     i = rng.integers(0, 2999, 2000)
     j = i + 1 + rng.integers(0, 2999 - i)
-    arr = streams.unit_array(streams.word_array(words[i], j))
+    arr = streams.unit_array(word_array(words[i], j))
     assert np.array_equal(arr, _pair_words(key, i, j))
     for k in range(len(i)):
         assert arr[k] == pair_uniform(key, int(i[k]), int(j[k]))
@@ -160,7 +160,7 @@ def test_poisson_rejects_negative_mean():
 
 def test_determinism_repeated_calls():
     key = streams.stream_key(2**63 + 17, 41, 3)
-    a = streams.uniform_array(key, np.arange(100, dtype=np.uint64))
-    b = streams.uniform_array(key, np.arange(100, dtype=np.uint64))
+    a = uniform_array(key, np.arange(100, dtype=np.uint64))
+    b = uniform_array(key, np.arange(100, dtype=np.uint64))
     assert np.array_equal(a, b)
     assert streams.poisson_sample(50.0, key) == streams.poisson_sample(50.0, key)
