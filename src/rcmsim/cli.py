@@ -548,9 +548,9 @@ def _cmd_validate_model(args) -> int:
     v = model.validation
     out = {
         "kind": model.kind,
-        "cutoff": model.cutoff,
-        "C": model.C,
-        "C_error": model.C_error,
+        # null where not finite, which the flags explain: JSON has no Infinity
+        **{key: x if math.isfinite(x) else None for key, x in
+           (("cutoff", model.cutoff), ("C", model.C), ("C_error", model.C_error))},
         "monotone_ok": v.monotone_ok,
         "range_ok": v.range_ok,
         "integral_finite": v.integral_finite,

@@ -347,13 +347,11 @@ def _bisect_cutoff(raw, eps: float) -> float:
 
 
 def _table_cutoff(radii, values, eps: float) -> float:
-    """First radius where the interpolated table drops to eps, inf if never."""
+    """First radius where the interpolated table drops to eps, inf if never.
+    table_model keeps values[0] > eps, and the loop passes a segment only
+    when v1 > eps, so every segment it reaches starts above eps."""
     for (r0, v0), (r1, v1) in zip(zip(radii, values), zip(radii[1:], values[1:])):
-        if v1 <= eps < v0:
-            if v0 == v1:
-                return r0
+        if v1 <= eps:
             # linear crossing inside the segment
             return r0 + (r1 - r0) * (v0 - eps) / (v0 - v1)
-        if v1 <= eps:
-            return r0
     return math.inf

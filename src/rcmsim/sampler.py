@@ -33,12 +33,14 @@ The coupled metric draws nothing of its own: its square graph is the
 torus graph less its seam edges, the pairs whose torus separation folds
 across the cell's edge.  The scan gives the runs that cross the seam (a
 column past the right edge, rows past the top or the bottom) apart from
-the plain runs, whose pairs in range never fold.  A coupled campaign
-needs its torus graph only to count torus-isolated nodes, so it realizes
-the plain runs first and then only the seam runs whose source or some
-target is lone, touched by no square edge.  That count stays exact: a
-node with a square edge is isolated on neither metric, every seam pair at
-a lone node lies in a realized run, and each pair draws its own coin.
+the plain runs, whose pairs in range never fold; on the one-cell grid
+every run is a seam run, and unfolded its pairs give the square edges.
+A coupled campaign needs its torus graph only to count torus-isolated
+nodes, so it realizes the square edges first and then only the seam
+runs whose source or some target is lone, touched by no square edge.
+That count stays exact: a node with a square edge is isolated on
+neither metric, every seam pair at a lone node lies in a realized run,
+and each pair draws its own coin.
 
 A batch of trials of one (rho, b) runs as one stack: stack_points puts
 their points in trial order, and stack_edges gives the grid a block of m
@@ -131,7 +133,7 @@ class CoupledSample:
     around the cell, which are removed_edges.  Isolation counts therefore
     satisfy isolated(square) = isolated(torus) + newly isolated near the
     boundary.  This is the full split of one trial; a coupled campaign
-    realizes seam edges only at the nodes square_edges leaves isolated
+    realizes the seam only at the nodes that square_edges leaves isolated
     (stack_coupled_edges), which gives the same counts.
     """
 
@@ -200,12 +202,12 @@ def stack_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray) -
 def stack_coupled_edges(params: SampleParams, points: np.ndarray,
                         offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(square edges, seam edges) of the torus trials that stack_points
-    stacks, over the stacked rows and each sorted as stack_edges sorts,
-    the torus graph split as couple_torus_to_square splits it.  The seam
-    edges are all those at lone nodes, which no square edge touches, and
-    maybe some others (see _split_edges): a node is torus-isolated exactly
-    when neither list touches it."""
-    return _split_edges(params, points, offsets, _stack_side(params, points, offsets), True)
+    stacks, over the stacked rows and each sorted as stack_edges sorts.
+    The square edges are couple_torus_to_square's.  The seam edges are
+    every seam edge at a lone node, which no square edge touches, and
+    maybe other torus edges (see _grid_edges): a node is torus-isolated
+    exactly when neither list touches it."""
+    return _grid_edges(params, points, offsets, _stack_side(params, points, offsets), True)
 
 
 def couple_torus_to_square(params: SampleParams) -> CoupledSample:
@@ -213,22 +215,21 @@ def couple_torus_to_square(params: SampleParams) -> CoupledSample:
 
     The square graph is the torus graph less its seam edges, which are
     removed_edges: the pairs whose torus separation folds across the
-    cell's edge.  Such a pair is at least 1 - r * cutoff >= 1/2 apart on
-    the square, beyond the support, and a pair that does not fold is
-    equally far apart in both metrics and draws the same coin.  So the
-    square edges are exactly the edges of a direct square-metric trial on
-    the same seed, trial and points, and newly isolated nodes are a
-    nonnegative per-trial boundary effect.  The scan gives the seam
-    edges apart, in runs of their own (see _column_runs).
+    cell's edge, rint(p_i - p_j) != 0 on either axis, as the scan folds
+    them (rint is odd, so the order of the two points does not matter).
+    Such a pair is at least 1 - r * cutoff >= 1/2 apart on the square,
+    beyond the support, and a pair that does not fold is equally far apart
+    in both metrics and draws the same coin.  So the square edges are
+    exactly the edges of a direct square-metric trial on the same seed,
+    trial and points, and newly isolated nodes are a nonnegative per-trial
+    boundary effect.
     """
     if params.metric is not Metric.TORUS:
         raise ParameterError("coupling starts from a torus-metric SampleParams")
     points = sample_points(params)
-    offsets = np.array([0, points.shape[0]])
-    square, removed = _split_edges(params, points, offsets,
-                                   _stack_side(params, points, offsets), False)
-    torus = np.concatenate((square, removed))
-    return CoupledSample(params, points, torus[np.lexsort(torus.T[::-1])], square, removed)
+    torus = stack_edges(params, points, np.array([0, points.shape[0]]))
+    folds = (np.rint(points[torus[:, 0]] - points[torus[:, 1]]) != 0.0).any(axis=1)
+    return CoupledSample(params, points, torus, torus[~folds], torus[folds])
 
 
 def truncation_bias(model: _models.ConnectionModel, rho: float, b: float) -> float:
@@ -327,49 +328,54 @@ def _trial_keys(params: SampleParams, trials: int, tag: int) -> np.ndarray:
                      for t in range(first, first + trials)], dtype=np.uint64)
 
 
-def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray,
-                m: int) -> np.ndarray:
+def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray, m: int,
+                split: bool = False):
     """Edges of stacked trials over an m x m bucket grid per trial, trial k
     holding the rows offsets[k] .. offsets[k + 1] - 1; int32, sorted
-    lexicographically over the stacked rows.  Seam runs go to the same keys."""
-    keys = bytearray()
-    _, runs, expand = _expand_runs(params, points, offsets, m)
-    for seam, src, first, count in runs:
-        expand(src, first, count, seam, keys, keys)
-    del runs, expand  # and with them the points in cell order, before the sort
-    return _sorted_edges(keys, points.shape[0])
+    lexicographically over the stacked rows.  Plain runs are realized as
+    they come, seam runs (see _column_runs) with the fold whenever those
+    waiting hold _SLICE_PAIRS candidates, and at the end.
 
-
-def _split_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray, m: int,
-                 lone: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(square edges, seam edges) of stacked torus trials over an m x m
-    grid per trial, each as _grid_edges gives edges: a pair is a seam pair
-    when its fold across the torus seam is nonzero.  With lone, the seam
-    runs of an m > 1 grid wait for the square edges, and only those are
+    With split, of torus trials: (square edges, seam edges), each sorted
+    so.  Every seam run waits for the square edges, and only those are
     realized whose source is lone, touched by no square edge, or whose
     range of targets holds a lone position, as a prefix sum over the lone
-    positions in cell order tells.  Every seam pair at a lone node lies in
-    such a run, and coins go by pair, so the seam edges at lone nodes are
-    those of the full split."""
+    positions in cell order tells; every seam pair at a lone node lies in
+    such a run, and coins go by pair.  On the one-cell grid every run is a
+    seam run, and the square edges are those runs unfolded: a pair that
+    folds is more than 1/2 >= reach apart unfolded, where only the exact
+    test can connect it (lo = -1 in every bin past reach), and d <= reach
+    rejects it.  Its lone pass may then realize square edges between nodes
+    that are not lone, which change no count: such a node has a square
+    edge anyway, and a node is torus-isolated exactly when neither list
+    touches it."""
     n = points.shape[0]
     order, runs, expand = _expand_runs(params, points, offsets, m)
-    keys, seam_keys, deferred = bytearray(), bytearray(), []
-    for seam, *run in runs:
-        if seam and lone and m > 1:
-            deferred.append(run)
-        else:
-            expand(*run, seam, keys, seam_keys)
+    # a list of seam runs that joins even when the scan gives none
+    keys, held, size = bytearray(), [_NO_RUNS], 0
+    for plain, seam in runs:
+        expand(*plain, False, keys)
+        held.append(seam)
+        size += int(seam[2].sum())
+        if size >= _SLICE_PAIRS and not split:
+            expand(*map(np.concatenate, zip(*held)), True, keys)
+            held, size = [_NO_RUNS], 0
+    src, first, count = map(np.concatenate, zip(*held))
+    if not split:
+        expand(src, first, count, True, keys)
+        del order, runs, expand  # and with them the points in cell order, before the sort
+        return _sorted_edges(keys, n)
+    if m == 1:
+        expand(src, first, count, False, keys)
     square = _sorted_edges(keys, n)
-    if deferred:
-        # a column at a time, as bincount reads int32 through an int64 copy
-        degree = np.bincount(square[:, 0], minlength=n)
-        degree += np.bincount(square[:, 1], minlength=n)
-        alone = (degree == 0)[order]
-        before = np.concatenate(([0], np.cumsum(alone)))
-        src, first, count = map(np.concatenate, zip(*deferred))
-        at = np.flatnonzero(alone[src] | (before[first + count] > before[first]))
-        # all the pairs in range of an m > 1 seam run fold (see _expand_runs)
-        expand(src[at], first[at], count[at], True, seam_keys, seam_keys)
+    # a column at a time, as bincount reads int32 through an int64 copy
+    degree = np.bincount(square[:, 0], minlength=n)
+    degree += np.bincount(square[:, 1], minlength=n)
+    alone = (degree == 0)[order]
+    before = np.concatenate(([0], np.cumsum(alone)))
+    at = np.flatnonzero(alone[src] | (before[first + count] > before[first]))
+    seam_keys = bytearray()
+    expand(src[at], first[at], count[at], True, seam_keys)
     return square, _sorted_edges(seam_keys, n)
 
 
@@ -418,14 +424,11 @@ def _cell_order(points: np.ndarray, counts: np.ndarray, m: int) -> tuple[np.ndar
 
 def _scan_runs(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray, starts: np.ndarray,
                m: int, reach: float, torus: bool):
-    """Groups (seam, src, first, count) of candidate runs over the stacked
-    points in cell order, trial k on the positions offsets[k] ..
-    offsets[k + 1] - 1; cell c = (trial * m + column) * m + row holds the
-    positions starts[c] .. starts[c + 1] - 1.  Sources go in blocks of
-    _SLICE_PAIRS positions.  Plain runs and seam runs (see _column_runs)
-    are grouped apart, a group being as many columns of blocks as make
-    about _SLICE_PAIRS candidates of its kind, so the memory held at once
-    is O(_SLICE_PAIRS) beyond the coordinates, whatever n and k are.
+    """The candidate runs (plain, seam) of each column of each block of
+    sources, as _column_runs gives them, over the stacked points in cell
+    order, trial k on the positions offsets[k] .. offsets[k + 1] - 1; cell
+    c = (trial * m + column) * m + row holds the positions starts[c] ..
+    starts[c + 1] - 1.  Sources go in blocks of _SLICE_PAIRS positions.
 
     A run is (source position, first position, count): the source pairs
     with the next `count` points.  A source scans the columns cx .. cx + k
@@ -436,7 +439,6 @@ def _scan_runs(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray, starts: np.n
     """
     span = _span(reach, m)
     columns = int(span) + 2 if m > 1 else 1
-    groups, sizes = ([], []), [0, 0]
     for a in range(0, xs.size, _SLICE_PAIRS):
         b = min(a + _SLICE_PAIRS, xs.size)
         src = np.arange(a, b)
@@ -444,16 +446,7 @@ def _scan_runs(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray, starts: np.n
         Y, cy = _cells(ys[a:b], m)
         t0 = (np.searchsorted(offsets, src, side="right") - 1) * m  # the trial's first column
         for ox in range(columns):
-            last = b == xs.size and ox == columns - 1
-            runs = _column_runs(src, X, Y, cx, cy, t0, starts, m, span, torus, ox)
-            for seam, (group, run) in enumerate(zip(groups, runs)):
-                group.append(run)
-                sizes[seam] += int(run[2].sum())
-                if sizes[seam] >= _SLICE_PAIRS or (last and sizes[seam]):
-                    yield (bool(seam),
-                           *(group[0] if len(group) == 1 else map(np.concatenate, zip(*group))))
-                    group.clear()
-                    sizes[seam] = 0
+            yield _column_runs(src, X, Y, cx, cy, t0, starts, m, span, torus, ox)
 
 
 _NO_RUNS = (np.empty(0, dtype=np.intp),) * 3
@@ -497,12 +490,11 @@ def _column_runs(src, X, Y, cx, cy, t0, starts, m: int, span: float, torus: bool
 def _expand_runs(params: SampleParams, points: np.ndarray, offsets: np.ndarray, m: int):
     """(order, runs, expand) of stacked trials over an m x m grid per
     trial.  The points go in cell order, position p holding point
-    order[p], and runs are the groups (seam, src, first, count) of
-    _scan_runs.  expand(src, first, count, fold, keys, seam) appends the
-    edge keys lo * n + hi among the pairs of positions (src[k], first[k] +
-    t), t < count[k], to keys, about _SLICE_PAIRS candidates at a time.
-    With fold the differences fold onto the torus, and the keys of the
-    pairs whose fold is nonzero go to seam; keys may be seam.
+    order[p], and runs are the pairs (plain, seam) of _scan_runs.
+    expand(src, first, count, fold, keys) appends the edge keys lo * n +
+    hi among the pairs of positions (src[k], first[k] + t), t < count[k],
+    to keys, about _SLICE_PAIRS candidates at a time.  With fold the
+    differences fold onto the torus.
 
     Plain runs need no fold.  With m > 1, _grid_side keeps 2K + 1 <= m for
     the K = int(span) + 1 columns a source scans past its own, so the two
@@ -512,8 +504,8 @@ def _expand_runs(params: SampleParams, points: np.ndarray, offsets: np.ndarray, 
     seam pair that does not, is more than K > span cells apart, which
     _span's slack puts beyond the prefilter's bound (whose own slack is
     smaller): a plain run's pairs in range do not fold, and a seam run's
-    all do.  On the one-cell torus every run may wrap, and each pair is
-    classed by its own fold.
+    all do.  On the one-cell torus every run is a seam run, whose pairs
+    may fold or not; a zero fold leaves a difference as it is.
 
     The squared distance with slack keeps a superset of the pairs in
     range.  A pair in a bin where g is 1 (lo = 1) is an edge and draws no
@@ -540,6 +532,7 @@ def _expand_runs(params: SampleParams, points: np.ndarray, offsets: np.ndarray, 
 
     def settle(out, near, si, pj, dx, dy, q):
         # the keys of the edges among the pairs `near` of a slice, to out
+        # (a call of its own, so its arrays go before the next slice's)
         i, j = si.take(near), order.take(pj.take(near))
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         k = (q.take(near) * scale).astype(np.intp)
@@ -562,7 +555,9 @@ def _expand_runs(params: SampleParams, points: np.ndarray, offsets: np.ndarray, 
         c = c[connected]
         out += (lo[c] * n + hi[c]).tobytes()
 
-    def expand(src, first, count, fold, keys, seam):
+    def expand(src, first, count, fold, keys):
+        if not count.size:
+            return
         offs = np.concatenate(([0], np.cumsum(count)))
         cuts = np.searchsorted(offs, np.arange(_SLICE_PAIRS, offs[-1], _SLICE_PAIRS))
         bounds = np.concatenate(([0], cuts, [count.size]))
@@ -575,17 +570,11 @@ def _expand_runs(params: SampleParams, points: np.ndarray, offsets: np.ndarray, 
             dy = np.repeat(ys.take(src[a:b]), lengths)
             dy -= ys.take(pj)
             if fold:
-                fx, fy = np.rint(dx), np.rint(dy)
-                dx -= fx
-                dy -= fy
+                dx -= np.rint(dx)
+                dy -= np.rint(dy)
             q = dx * dx
             q += dy * dy
-            near = np.flatnonzero(q <= bound)
-            si = np.repeat(order.take(src[a:b]), lengths)
-            if fold and seam is not keys:
-                wraps = (fx[near] != 0.0) | (fy[near] != 0.0)
-                settle(seam, near[wraps], si, pj, dx, dy, q)
-                near = near[~wraps]
-            settle(keys, near, si, pj, dx, dy, q)
+            settle(keys, np.flatnonzero(q <= bound), np.repeat(order.take(src[a:b]), lengths),
+                   pj, dx, dy, q)
 
     return order, _scan_runs(xs, ys, offsets, starts, m, reach, torus), expand

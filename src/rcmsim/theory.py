@@ -62,7 +62,7 @@ memory stays small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -107,13 +107,10 @@ class TheoryReport:
     mean_degree_square: float
 
     def __post_init__(self):
-        for name in ("expected_isolated", "expected_isolated_square", "quad_error_square",
-                     "expected_isolated_torus", "quad_error_torus", "boundary_excess",
-                     "asymptotic_mean", "prob_no_isolated", "mean_degree",
-                     "mean_degree_square"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v >= 0.0):
-                raise ParameterError(f"{name} must be finite and >= 0, got {v}")
+                raise ParameterError(f"{f.name} must be finite and >= 0, got {v}")
         # exp(-exp(-b)) rounds to exactly 0 or 1 at large |b|
         if self.prob_no_isolated > 1.0:
             raise ParameterError("prob_no_isolated must lie in [0, 1]")

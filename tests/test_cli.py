@@ -639,8 +639,9 @@ def test_extreme_log_normal_exits_model_failure(tmp_path, capsys, sigma_db, eta)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))
     assert main(["validate-model", str(path)]) == EXIT_MODEL
-    doc = json.loads(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert not doc["ok"] and not doc["integral_finite"] and not doc["tail_ok"]
+    assert doc["cutoff"] is None and doc["C"] is None and doc["C_error"] is None
     assert main(["theory", "--model", str(path), "--rho", "2000", "--b", "0"]) == EXIT_MODEL
     assert main(["simulate", _write_config(tmp_path, model=spec)]) == EXIT_MODEL
     assert "validation" in capsys.readouterr().err
@@ -670,3 +671,12 @@ def test_validate_model_subcommand(tmp_path, capsys):
     assert main(["validate-model", str(bad)]) == EXIT_MODEL
     doc = json.loads(capsys.readouterr().out)
     assert not doc["ok"] and not doc["monotone_ok"]
+
+    # a table that never drops to cutoff_eps has no finite cutoff or C,
+    # which strict JSON writes as null
+    never = tmp_path / "never.json"
+    never.write_text(json.dumps({"kind": "table", "knots": [[0.0, 1.0], [1.0, 0.5]]}))
+    assert main(["validate-model", str(never)]) == EXIT_MODEL
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert not doc["ok"] and not doc["tail_ok"] and doc["monotone_ok"]
+    assert doc["cutoff"] is None and doc["C"] is None and doc["C_error"] is None

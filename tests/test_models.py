@@ -148,6 +148,9 @@ def test_table_clamps_below_first_knot():
 def test_table_cutoff_at_first_eps_crossing():
     m = table_model([(0.0, 1.0), (1.0, 0.0), (2.0, 0.0)])
     assert m.cutoff == pytest.approx(1.0, rel=1e-9)
+    # a knot exactly at cutoff_eps is the crossing
+    m = table_model([(0.0, 1.0), (1.0, 1e-12), (2.0, 0.0)])
+    assert m.cutoff == 1.0
 
 
 def test_table_integral_matches_hand_value():

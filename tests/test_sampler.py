@@ -281,7 +281,7 @@ def test_coin_words_decide_as_the_uniform(model):
 def test_build_graph_memory_is_bounded():
     # the Gaussian at rho 2e4 has about 4e6 candidate pairs, and the wide
     # table at rho 5000 about 3e6 over 8 columns of cells; both are
-    # realized a group of columns and a slice at a time, never held at once
+    # realized a column and a slice at a time, never held at once
     wide = table_model([(0.0, 1.0), (0.5, 0.008), (80.0, 0.008), (80.01, 0.0)])
     for model, rho, limit in ((GAUSS, 2e4, 6.6e6), (wide, 5000.0, 3.3e6)):
         p = _params(rho, 0.0, model=model, seed=3)
@@ -417,8 +417,8 @@ def test_coupling_unit_disk_square_edges_are_exact():
 
 
 def test_coupling_square_marginal_matches_direct_square_run():
-    # the thinned square graph must be distributed like a square-metric
-    # build; compare expected isolated counts over trials
+    # the torus graph less its seam edges must be distributed like a
+    # square-metric build; compare expected isolated counts over trials
     n_trials = 400
     iso_coupled = 0
     iso_direct = 0
@@ -470,6 +470,35 @@ def test_coupled_square_edges_equal_direct_square_build():
                         assert np.all(d_sq >= 1.0 - r * model.cutoff)
                     else:
                         assert np.array_equal(d_sq, distance_arrays(Metric.TORUS, *args))
+
+
+@pytest.mark.parametrize("model", [
+    UD, gaussian(cutoff_eps=0.1), table_model([(0.0, 1.0), (1.0, 0.6), (2.0, 0.0)])],
+    ids=["unit_disk", "gaussian_eps01", "table3"])
+def test_coupled_split_edge_by_edge(model):
+    # stack_coupled_edges' square edges are, edge for edge, stack_edges on
+    # the square metric over the same stacked points, and its seam edges at
+    # lone nodes are exactly the torus edges there, every one folding.
+    # r * cutoff = 0.45 at rho 5 and 40 puts 12 trials on the one-cell
+    # grid, whose square edges come from its seam runs unfolded; rho 400
+    # at b = 0 takes an m > 1 grid
+    seen = 0
+    for rho, one_cell in ((5.0, True), (40.0, True), (400.0, False)):
+        b = (0.45 / model.cutoff) ** 2 * model.C * rho - math.log(rho) if one_cell else 0.0
+        p = _params(rho, b, model=model, seed=31)
+        pts, offsets = sampler.stack_points(p, 12)
+        assert (sampler._stack_side(p, pts, offsets) == 1) == one_cell
+        square, seam = sampler.stack_coupled_edges(p, pts, offsets)
+        direct = sampler.stack_edges(_params(rho, b, Metric.SQUARE, model, 31), pts, offsets)
+        assert np.array_equal(square, direct), (rho, model)
+        lone = np.bincount(square.ravel(), minlength=pts.shape[0]) == 0
+        torus = sampler.stack_edges(p, pts, offsets)
+        at_lone = [e[lone[e[:, 0]] | lone[e[:, 1]]] for e in (seam, torus)]
+        assert np.array_equal(*at_lone), (rho, model)
+        folds = np.rint(pts[at_lone[0][:, 0]] - pts[at_lone[0][:, 1]]) != 0.0
+        assert folds.any(axis=1).all(), (rho, model)
+        seen += at_lone[0].shape[0]
+    assert seen > 0
 
 
 # --- truncation bias ---

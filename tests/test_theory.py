@@ -755,11 +755,13 @@ def test_report_validation():
     TheoryReport(**fields)
     TheoryReport(**{**fields, "prob_no_isolated": 1.0})
     with pytest.raises(ParameterError):
-        TheoryReport(**{**fields, "expected_isolated": -1.0})
-    with pytest.raises(ParameterError):
         TheoryReport(**{**fields, "prob_no_isolated": 1.5})
-    with pytest.raises(ParameterError):
-        TheoryReport(**{**fields, "quad_error_square": math.nan})
+    # each field refuses NaN and a negative value
+    assert set(fields) == {f.name for f in dataclasses.fields(TheoryReport)}
+    for name in fields:
+        for bad in (math.nan, -1.0):
+            with pytest.raises(ParameterError, match=f"^{name} must"):
+                TheoryReport(**{**fields, name: bad})
 
 
 def test_scale_guard():
