@@ -403,6 +403,23 @@ def test_table_b2_pinned(model, want):
     assert 0.0 < err <= 1e-7 * b2
 
 
+@pytest.mark.parametrize("model,want", [
+    (TABLE3, (2.593642297785112, 2.5282165247071244, 2.416556750851911,
+              1.2630316508081638)),
+    (TABLE5, (2.5298745592607625, 2.466160365758354, 2.3588309760863817,
+              1.2541570026876527)),
+    (DENSE, (2.9379360390850646, 2.823597871910296, 2.6567464130517733,
+             1.2867589932839714)),
+], ids=["table3", "table5", "dense"])
+def test_table_square_mean_pinned(model, want):
+    # the closed-form arcs of the square means keep their values to
+    # rounding, whatever order they are summed in
+    for rho, value in zip((500.0, 2000.0, 1e4, 1e100), want):
+        got, err = expected_isolated(model, rho, 0.0, Metric.SQUARE, return_error=True)
+        assert got == pytest.approx(value, rel=1e-13), rho
+        assert err <= 1e-9 * value, rho
+
+
 def test_truncated_gaussian_cross_mass_vs_mc():
     # at eps 0.1 the lens of the two cutoff discs cuts (pi/2) e^{-s^2/2}
     # by up to 95% (at s = 2.9, near 2 cutoff = 3.03)
