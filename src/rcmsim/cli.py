@@ -561,6 +561,7 @@ def _cmd_validate_model(args) -> int:
     return EXIT_OK if v.ok else EXIT_MODEL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcmsim",

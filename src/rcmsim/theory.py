@@ -53,8 +53,9 @@ once that difference is within 1e-9 of the value (1e-7 for b2; n = 8, 16,
 then 32), else QuadratureError is raised.  The visible mass converges
 with the rule around it, so no convergence loop nests inside another.  A
 table kernel is linear between knots, so the mass it shows inside
-clipping lines has a closed form: the square means of tables need no
-radial rule, and a corner node adds little more than a knot search.
+clipping lines has a closed form, its arc terms taken once per knot and
+clipping distance: the square means of tables need no radial rule, and a
+corner node inside the cutoff adds one knot search and two arc primitives.
 Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
 memory stays small.
 """
@@ -336,23 +337,32 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
 
 
 def _visible_mass_table(model: ConnectionModel, d1, d2) -> np.ndarray:
-    """`_visible_mass` of a table in closed form: the full mass, less the
-    arcs beyond each clipping line, plus their overlap."""
+    """`_visible_mass` of a table in closed form: the full mass 4 A_0[0],
+    less the arcs 2 A[0] beyond each clipping line (`_arc_suffix` at 0, d1,
+    d2), plus their overlap T(d1, h) + T(d2, h) - T(0, h) from h = hypot(d1,
+    d2), with T(delta, h) = int_h^cutoff u g(u) arccos(delta / u) du.  With p
+    the piece that holds h, T(delta, h) = E[p] - alpha_p P0(h, delta) - beta_p
+    P1(h, delta) exactly: x_{p+1} >= h >= delta, so E[p] already holds the
+    head of piece p.  At delta = 0 the parts are pi h^2 / 4 and pi h^3 / 6.
+    From h = cutoff on every tail is A[P] = 0, so only the nodes inside the
+    cutoff take the overlap; they gather E by their flat index into d1 and
+    d2, and E is never broadcast to nodes x knots."""
+    x, alpha, beta = _table_pieces(model)
     d1, d2 = np.asarray(d1, dtype=np.float64), np.asarray(d2, dtype=np.float64)
-    zero = _arc_suffix(model, 0.0)
-    arcs1, arcs2 = _arc_suffix(model, d1), _arc_suffix(model, d2)
-    return (4.0 * zero[0] - 2.0 * (arcs1[..., 0] + arcs2[..., 0])
-            + _arc_overlap(model, zero, arcs1, d1, arcs2, d2))
-
-
-def _arc_overlap(model: ConnectionModel, zero, arcs1, delta1, arcs2, delta2):
-    """Table kernel: the mass beyond both of two perpendicular clipping
-    lines, which their two arcs count twice: int u g(u) (arccos(delta1 / u)
-    + arccos(delta2 / u) - pi / 2) du from hypot(delta1, delta2) outward.
-    `zero` and `arcs1`, `arcs2` are `_arc_suffix` at 0 and at the deltas."""
-    h = np.hypot(delta1, delta2)
-    return (_arc_tail(model, arcs1, delta1, h) + _arc_tail(model, arcs2, delta2, h)
-            - _arc_tail(model, zero, 0.0, h))
+    zero, zero_end = _arc_suffix(model, 0.0)
+    (arcs1, end1), (arcs2, end2) = _arc_suffix(model, d1), _arc_suffix(model, d2)
+    out = np.asarray(4.0 * zero[0] - 2.0 * (arcs1[..., 0] + arcs2[..., 0]))
+    h = np.hypot(d1, d2)
+    near = h < x[-1]
+    h = h[near]
+    p = np.searchsorted(x, h, side="right") - 1
+    overlap = math.pi * h * h * (0.25 * alpha[p] + beta[p] * h / 6.0) - zero_end[p]
+    for delta, end in ((d1, end1), (d2, end2)):
+        node = np.broadcast_to(np.arange(delta.size).reshape(delta.shape), near.shape)[near]
+        p0, p1 = _arc_parts(h, delta.ravel()[node])
+        overlap += end.reshape(delta.size, -1)[node, p] - alpha[p] * p0 - beta[p] * p1
+    out[near] += overlap
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -361,44 +371,34 @@ def _table_pieces(model: ConnectionModel) -> tuple[np.ndarray, np.ndarray, np.nd
     return table_pieces(model.radii, model.values, model.cutoff)
 
 
-def _arc_primitive(alpha, beta, v, delta):
-    """Antiderivative in v of v (alpha + beta v) arccos(delta / v) for
-    v >= delta >= 0, zero at v = delta.  Written with
-    sqrt((v - delta)(v + delta)) so that it stays accurate near v = delta."""
+def _arc_parts(v, delta) -> tuple[np.ndarray, np.ndarray]:
+    """(P0, P1), the antiderivatives in v of v arccos(delta / v) and
+    v^2 arccos(delta / v) for v >= delta >= 0, zero at v = delta: a piece
+    g = alpha + beta u takes alpha P0 + beta P1.  Written with
+    sqrt((v - delta)(v + delta)) so that they stay accurate near v = delta."""
     root = np.sqrt((v - delta) * (v + delta))
     angle = np.arctan2(root, delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         log = np.where(delta > 0.0, delta * delta * np.log1p((v - delta + root) / delta), 0.0)
-    return (alpha * 0.5 * (v * v * angle - delta * root)
-            + beta * (2.0 * v**3 * angle - delta * (v * root + log)) / 6.0)
+    return (0.5 * (v * v * angle - delta * root),
+            (2.0 * v**3 * angle - delta * (v * root + log)) / 6.0)
 
 
-def _arc_suffix(model: ConnectionModel, delta) -> np.ndarray:
-    """Table kernel: A[..., p] = int u g(u) arccos(delta / u) du from
-    max(x_p, delta) to the cutoff, for p = 0..P (A[..., P] = 0).  The arc
-    beyond a clipping line at delta takes 2 A[..., 0] of the mass; at
-    delta = 0 the arccos is pi / 2, so 4 A[0] is the full mass."""
+def _arc_suffix(model: ConnectionModel, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Table kernel: (A, E) with A[..., p] = int u g(u) arccos(delta / u) du
+    from max(x_p, delta) to the cutoff, p = 0..P (A[..., P] = 0), and
+    E[..., p] = A[..., p + 1] + alpha_p P0 + beta_p P1 at max(x_{p+1}, delta),
+    the upper end of piece p; the parts are taken once at each of the P + 1
+    points max(x_k, delta).  The arc beyond a clip at delta takes 2 A[..., 0]
+    of the mass; at delta = 0 the arccos is pi / 2, so 4 A[0] is the full mass."""
     x, alpha, beta = _table_pieces(model)
     delta = np.minimum(delta, x[-1])[..., None]
-    v = np.maximum(x, delta)
-    seg = (_arc_primitive(alpha, beta, v[..., 1:], delta)
-           - _arc_primitive(alpha, beta, v[..., :-1], delta))
-    tail = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
-    return np.concatenate([tail, np.zeros_like(delta)], axis=-1)
-
-
-def _arc_tail(model: ConnectionModel, arcs, delta, c):
-    """int_c^cutoff u g(u) arccos(delta / u) du for c >= delta, given
-    arcs = `_arc_suffix(model, delta)`; all arguments broadcast."""
-    x, alpha, beta = _table_pieces(model)
-    p = np.clip(np.searchsorted(x, c, side="right") - 1, 0, alpha.size - 1)
-    delta = np.minimum(delta, x[-1])
-    c = np.minimum(c, x[-1])
-    head = (_arc_primitive(alpha[p], beta[p], x[p + 1], delta)
-            - _arc_primitive(alpha[p], beta[p], c, delta))
-    shape = np.broadcast_shapes(arcs.shape[:-1], p.shape)
-    arcs = np.broadcast_to(arcs, shape + arcs.shape[-1:])
-    return np.take_along_axis(arcs, np.broadcast_to(p + 1, shape)[..., None], -1)[..., 0] + head
+    p0, p1 = _arc_parts(np.maximum(x, delta), delta)
+    upper = alpha * p0[..., 1:] + beta * p1[..., 1:]
+    seg = upper - (alpha * p0[..., :-1] + beta * p1[..., :-1])
+    arcs = np.concatenate([np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1],
+                           np.zeros_like(delta)], axis=-1)
+    return arcs, arcs[..., 1:] + upper
 
 
 def _disk_cap(delta):

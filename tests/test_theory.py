@@ -201,14 +201,25 @@ def test_visible_mass_generic_vs_mc():
         assert abs(got - est) < 5.0 * se, (deltas, got, est, se)
 
 
-@pytest.mark.parametrize("model", [TABLE5, DENSE])
+@pytest.mark.parametrize("model", [TABLE3, TABLE5, DENSE])
 def test_table_visible_mass_closed_form_matches_rule(model):
     # the piecewise closed form against the radial Gauss rule, which
-    # breaks its panels at every knot
-    inf = math.inf
+    # breaks its panels at every knot; scalars, and the grids the square
+    # means pass: the corner grid over 0, every knot, the cutoff and past
+    # it, the split rows that straddle the overlap's onset, and the edge
+    inf, c = math.inf, model.cutoff
     for deltas in ((0.2, inf), (1.0, 0.6), (0.45, 0.3), (0.0, 0.0)):
-        assert theory._visible_mass(model, deltas, 8) == pytest.approx(
-            _converged_rule(model, deltas), rel=1e-12, abs=1e-14), deltas
+        got = theory._visible_mass(model, deltas, 8)
+        assert np.ndim(got) == 0
+        assert got == pytest.approx(_converged_rule(model, deltas), rel=1e-12,
+                                    abs=1e-14), deltas
+    grid = np.array([0.0, *model.radii[1:], c, 1.2 * c])
+    onset = np.sqrt(np.maximum(c * c - grid * grid, 0.0))[:, None] * np.linspace(0.5, 1.5, 6)
+    for deltas in ((grid[:, None], grid), (grid[:, None], onset), (grid, inf)):
+        got = theory._visible_mass(model, deltas, 8)
+        assert got.shape == np.broadcast_shapes(*(np.shape(d) for d in deltas))
+        np.testing.assert_allclose(got, _converged_rule(model, deltas), rtol=1e-12,
+                                   atol=1e-14, err_msg=str(deltas))
 
 
 @pytest.mark.parametrize("model", [GAUSS, gaussian(cutoff_eps=1e-3),
