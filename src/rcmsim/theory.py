@@ -45,7 +45,7 @@ mean isolated -> exp(-b), P(no isolated) -> exp(-exp(-b)), mean degree
 Square means, cross masses and b2 use fixed-panel Gauss-Legendre rules
 (nodes from numpy's leggauss; nothing here is adaptive) on whole arrays,
 with panels broken at every kink the geometry and the kernel put into the
-integrand (each function below names its break points) and mapped by the
+integrand (built by `_breaks`, named at each use) and mapped by the
 smoothstep t -> 3t^2 - 2t^3, which keeps a square-root kink at a panel
 end smooth.  Each quantity is evaluated at orders n and 2n; the 2n value
 is returned with |Q_2n - Q_n|, floored at 128 eps |Q_2n|, as its error
@@ -86,6 +86,9 @@ _B2_REL_TOL = 1e-7
 _ERR_FLOOR = 128 * np.finfo(np.float64).eps
 # rows x nodes evaluated at once, which bounds the scratch memory
 _BLOCK = 1 << 15
+# soft radial breaks in cutoffs, so that no one panel spans the profile (the
+# log-normal (4, 3) falls from 0.99 to 0.01 between radii 0.5 and 2 of 8.7)
+_HALVES = 0.5 ** np.arange(1, 4)
 
 
 @dataclass(frozen=True)
@@ -215,8 +218,7 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * model.C)
     # exp(-scale K) falls fastest next to the boundary: the panels of the
     # distance d to it halve toward it, down to the layer width 1 / scale
-    halvings = np.arange(1, math.log2(cutoff * scale))
-    base = np.unique([0.0, *(cutoff * 0.5**halvings), *_kinks(model)])
+    base = _breaks(model, cutoff, soft=cutoff * 0.5 ** np.arange(1, math.log2(cutoff * scale)))
 
     # the mass visible at (d1, d2) is at least K(d1, 0), half the edge mass
     # at d1, which grows with d1: corner strips of d1 over a panel [a, b]
@@ -306,11 +308,8 @@ def _visible_mass_gaussian(model: ConnectionModel, d1, d2) -> np.ndarray:
 def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
     """`_visible_mass` as int_0^cutoff u g(u) theta(u) du, where theta(u) is
     the angular measure of the circle of scaled radius u that stays inside
-    the clipping half-planes at `deltas`.  Panels break at each clipping
-    distance, at the onset hypot(d1, d2) of the overlap, at the kinks of g
-    and at cutoff / 8, / 4, / 2, so that no one panel spans the whole
-    profile.
-    """
+    the clipping half-planes at `deltas`.  Panels break at `_breaks` with
+    `_HALVES`, and each row's at its clips and overlap onset hypot(d1, d2)."""
     cutoff = model.cutoff
     deltas = [np.asarray(x, dtype=np.float64) for x in deltas]
     shape = np.broadcast_shapes(*(x.shape for x in deltas))
@@ -318,7 +317,7 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
     clips = [np.broadcast_to(x, shape).ravel()[:, None] for x in deltas
              if np.any(x < cutoff)]
     overlap = bool(np.any(np.hypot(*deltas) < cutoff))
-    fixed = (0.0, *_radial_breaks(model))
+    fixed = _breaks(model, cutoff, soft=cutoff * _HALVES)
     out = np.empty(math.prod(shape))
     step = max(1, _BLOCK // ((len(clips) + overlap + len(fixed) - 1) * n))
     for lo in range(0, out.size, step):
@@ -419,17 +418,18 @@ def _disk_corner(d1, d2):
                            - x_hi * d2) + d2 * x_lo)
 
 
-def _kinks(model: ConnectionModel) -> tuple[float, ...]:
-    """Radii in (0, cutoff] where g kinks: the table knots and the cutoff."""
-    inner = () if model.radii is None else model.radii
-    return (*(k for k in inner if 0.0 < k < model.cutoff), model.cutoff)
-
-
-def _radial_breaks(model: ConnectionModel) -> tuple[float, ...]:
-    """Where panels over a radius break: the kinks, and cutoff / 8, / 4, / 2
-    so that no one panel spans the whole profile (the log-normal (4, 3)
-    falls from 0.99 to 0.01 between radii 0.5 and 2 of a cutoff of 8.7)."""
-    return tuple(sorted({*(model.cutoff * 0.5 ** np.arange(1, 4)), *_kinks(model)}))
+def _breaks(model: ConnectionModel, hi: float, kinks=(), soft=()) -> np.ndarray:
+    """The fixed panel breaks of every rule here, sorted, on [0, hi]: 0, hi
+    and each kink of g (table knots, cutoff) or of `kinks` inside, exact,
+    and each soft break q inside more than 1e-9 q from all of those.  Kinks
+    mark where the integrand is not smooth, soft breaks keep panels short.
+    A table's cutoff sits 1.7e-12 below its last knot, so cutoff / 2 lands
+    by a knot: both kept, a sliver panel would take n nodes.  A tolerance
+    of 1e-9 hi would drop b2's layer breaks at rho 1e300, where hi is 3e37."""
+    g_kinks = (*(k for k in model.radii or () if k < model.cutoff), model.cutoff)
+    hard = {0.0, hi, *(k for k in (*g_kinks, *kinks) if 0.0 < k < hi)}
+    return np.array(sorted(hard | {q for q in soft if 0.0 < q < hi
+                                   and all(abs(q - k) > 1e-9 * q for k in hard)}))
 
 
 @lru_cache(maxsize=None)
@@ -482,12 +482,12 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
     R(phi) = sqrt(c^2 - (s/2)^2 sin^2 phi) - (s/2) cos phi where a ray from
     the midpoint leaves the lens of the two cutoff discs (0 for s >= 2c).
     For tables and the log-normal the radial rule runs on blocks of
-    separations, its panels broken at max(s - cutoff, 0), at s, at the
-    kinks k of g and where the circle of radius k about the second center
-    is tangent (|k - s|, k + s), and for the log-normal at its radial
-    breaks; the nodes of zero-width panels, where breaks coincide, are
-    dropped.  A is closed form for tables (`_table_arc`) and an angular
-    rule for the log-normal (`_log_normal_arc`)."""
+    separations, its panels broken at max(s - cutoff, 0), at s, at
+    `_breaks` over [0, cutoff] (the kinks k of g, with the soft `_HALVES`
+    for the log-normal) and where the circle of radius k about the second
+    center is tangent (|k - s|, k + s); the nodes of zero-width panels,
+    where breaks coincide, are dropped.  A is closed form for tables
+    (`_table_arc`) and an angular rule for the log-normal (`_log_normal_arc`)."""
     s = np.asarray(s, dtype=np.float64)
     cutoff = model.cutoff
     if model.kind == "unit_disk":
@@ -501,9 +501,9 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
         lens = (cutoff * cutoff - half * half) / (
             np.sqrt(cutoff * cutoff - (half * np.sin(phi))**2) + half * np.cos(phi))
         return np.exp(-0.5 * s * s) * (-np.expm1(-2.0 * lens * lens) @ w)
-    k = np.array(_kinks(model))
+    k = _breaks(model, cutoff)[1:]
     table = model.kind == "table"
-    fixed = k if table else np.array(_radial_breaks(model))
+    fixed = k if table else _breaks(model, cutoff, soft=cutoff * _HALVES)[1:]
     flat = s.reshape(-1)
     out = np.zeros(flat.size)
     live = np.flatnonzero(flat < 2.0 * cutoff)  # supports that overlap
@@ -615,11 +615,11 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
     # wrapped pair at period - s kinks at the mirror images.
     # Past the cutoff 1 - g(s) jumps by g(cutoff), 1 for the unit disk, and
     # the integrand falls off over a layer of width about 1 / (rho r^2):
-    # panels halve toward the cutoff, down to that width
+    # soft breaks halve toward the cutoff, down to that width (`_breaks`)
+    k = _breaks(model, model.cutoff)[1:]
     layer = model.cutoff * (1.0 + 0.5 ** np.arange(2, math.log2(model.cutoff * mass_scale)))
-    pts = (*_radial_breaks(model), *(k + model.cutoff for k in _kinks(model)), *layer)
-    pts = {q for p in pts for q in (p, period - p) if 0.0 < q < s_max}
-    breaks = np.array(sorted({0.0, s_max, *pts}))
+    kinks, soft = np.append(k, k + model.cutoff), np.append(model.cutoff * _HALVES, layer)
+    breaks = _breaks(model, s_max, [*kinks, *(period - kinks)], [*soft, *(period - soft)])
 
     def integral(n: int) -> float:
         s, w = _panels(breaks, n)

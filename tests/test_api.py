@@ -72,13 +72,22 @@ def test_benchmark_cli_names_resolve():
 _NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
+def _defined(top: ast.stmt) -> set[str]:
+    """Names a top-level statement defines: a function or class, or the
+    targets of an assignment."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = getattr(top, "targets", [getattr(top, "target", None)])
+    return {n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
 def _references(source: str) -> set[str]:
     """Names a module refers to, as names, attributes or imports, less each
     top-level definition's references to itself."""
     refs = set()
     for top in ast.parse(source).body:
         names = {getattr(n, _NAMED[type(n)]) for n in ast.walk(top) if type(n) in _NAMED}
-        refs |= names - {getattr(top, "name", None)}
+        refs |= names - _defined(top)
     return refs
 
 
@@ -92,3 +101,13 @@ def test_every_public_name_has_a_caller():
     used |= _references(readme.split("## Library", 1)[1].split("```python\n", 1)[1]
                         .split("```", 1)[0])
     assert [name for name in rcmsim.__all__ if name not in used] == []
+
+
+def test_every_private_name_has_a_caller():
+    # a private helper that only the tests call, such as one folded into
+    # another, is dead code
+    sources = [p.read_text() for p in Path(rcmsim.__file__).resolve().parent.glob("*.py")]
+    used = set().union(*map(_references, sources))
+    private = {name for source in sources for top in ast.parse(source).body
+               for name in _defined(top) if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - used) == []

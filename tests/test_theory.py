@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmsim import theory
 from rcmsim.cli import CampaignConfig, run_campaign
@@ -605,6 +607,63 @@ def test_unconverged_rule_raises(monkeypatch):
     with pytest.raises(QuadratureError) as info:
         expected_isolated(GAUSS, 200.0, 0.0, Metric.SQUARE)
     assert info.value.estimate > 0.0
+
+
+@pytest.mark.parametrize("rho", [500.0, 2000.0, 1e4])
+@pytest.mark.parametrize("model", [TABLE3, TABLE5], ids=["table3", "table5"])
+def test_table_breaks_leave_no_sliver_panels(model, rho, monkeypatch):
+    # a table's cutoff sits 1.7e-12 below its last knot, so cutoff / 2 lands
+    # next to a knot; both kept, they made a panel that held n nodes on
+    # almost no distance in the square mean's base and in b2's separations
+    seen, panels = [], theory._panels
+
+    def spy(breaks, n):
+        if np.ndim(breaks) == 1:
+            seen.append(np.array(breaks))
+        return panels(breaks, n)
+
+    monkeypatch.setattr(theory, "_panels", spy)
+    caches = (theory._expected_isolated_square, theory._chen_stein)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        expected_isolated(model, rho, 0.0, Metric.SQUARE)
+        square = len(seen)
+        chen_stein_terms(model, rho, 0.0)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert 0 < square < len(seen)
+    for breaks in seen:
+        width = np.diff(breaks)
+        assert not np.any((width > 0.0) & (width <= 1e-9 * (breaks[-1] - breaks[0]))), breaks
+    knots = {k for k in model.radii if k < model.cutoff}
+    for base in seen[:square]:
+        assert knots <= set(base.tolist()), base
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_breaks_keep_kinks_and_drop_soft_breaks_next_to_them(data):
+    model = data.draw(st.sampled_from([UD, GAUSS, TABLE3, TABLE5]))
+    hi = data.draw(st.floats(0.01, 1e40))
+    anywhere = st.floats(-1.0, 1.2 * hi)
+    kinks = data.draw(st.lists(anywhere, max_size=6))
+    # the ends, and every kink of g (table knots, cutoff) or of `kinks` inside
+    g_kinks = [*(k for k in model.radii or () if k < model.cutoff), model.cutoff]
+    hard = {0.0, hi, *(k for k in (*g_kinks, *kinks) if 0.0 < k < hi)}
+    # soft breaks up to three tolerances from a kink, on either side
+    near = st.builds(lambda k, d: k * (1.0 + d) + d, st.sampled_from(sorted(hard)),
+                     st.floats(-3e-9, 3e-9))
+    soft = data.draw(st.lists(st.one_of(anywhere, near), max_size=12))
+    got = theory._breaks(model, hi, kinks, soft)
+    assert np.all(np.diff(got) > 0.0)
+    assert got[0] == 0.0 and got[-1] == hi
+    kept = set(got.tolist())
+    assert hard <= kept
+    for q in set(soft) - hard:
+        assert (q in kept) == (0.0 < q < hi and all(abs(q - k) > 1e-9 * q for k in hard)), q
+    assert kept <= hard | set(soft)
 
 
 def test_chen_stein_guards():
