@@ -218,7 +218,7 @@ def _expected_isolated_square(model: ConnectionModel, rho: float, b: float):
     interior = (1.0 - 2.0 * reach) ** 2 * math.exp(-scale * model.C)
     # exp(-scale K) falls fastest next to the boundary: the panels of the
     # distance d to it halve toward it, down to the layer width 1 / scale
-    base = _breaks(model, cutoff, soft=cutoff * 0.5 ** np.arange(1, math.log2(cutoff * scale)))
+    base = _breaks(model, cutoff, [0.0], cutoff * 0.5 ** np.arange(1, math.log2(cutoff * scale)))
 
     # the mass visible at (d1, d2) is at least K(d1, 0), half the edge mass
     # at d1, which grows with d1: corner strips of d1 over a panel [a, b]
@@ -317,7 +317,7 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
     clips = [np.broadcast_to(x, shape).ravel()[:, None] for x in deltas
              if np.any(x < cutoff)]
     overlap = bool(np.any(np.hypot(*deltas) < cutoff))
-    fixed = _breaks(model, cutoff, soft=cutoff * _HALVES)
+    fixed = _breaks(model, cutoff, [0.0], cutoff * _HALVES)
     out = np.empty(math.prod(shape))
     step = max(1, _BLOCK // ((len(clips) + overlap + len(fixed) - 1) * n))
     for lo in range(0, out.size, step):
@@ -419,15 +419,15 @@ def _disk_corner(d1, d2):
 
 
 def _breaks(model: ConnectionModel, hi: float, kinks=(), soft=()) -> np.ndarray:
-    """The fixed panel breaks of every rule here, sorted, on [0, hi]: 0, hi
-    and each kink of g (table knots, cutoff) or of `kinks` inside, exact,
-    and each soft break q inside more than 1e-9 q from all of those.  Kinks
-    mark where the integrand is not smooth, soft breaks keep panels short.
-    A table's cutoff sits 1.7e-12 below its last knot, so cutoff / 2 lands
-    by a knot: both kept, a sliver panel would take n nodes.  A tolerance
-    of 1e-9 hi would drop b2's layer breaks at rho 1e300, where hi is 3e37."""
-    g_kinks = (*(k for k in model.radii or () if k < model.cutoff), model.cutoff)
-    hard = {0.0, hi, *(k for k in (*g_kinks, *kinks) if 0.0 < k < hi)}
+    """The fixed panel breaks of every rule here, sorted, up to hi: hi and
+    each kink of g (table knots, cutoff) or of `kinks` in [0, hi), exact,
+    and each soft break q in (0, hi) more than 1e-9 q from all of those.
+    Kinks mark where the integrand is not smooth, soft breaks keep panels
+    short.  A table's cutoff sits 1.7e-12 below its last knot, so cutoff / 2
+    lands by a knot: both kept, a sliver panel would take n nodes.  A range-
+    relative tolerance would drop b2's layer breaks at rho 1e300 (hi 3e37)."""
+    g_kinks = (*(k for k in model.radii or () if 0.0 < k < model.cutoff), model.cutoff)
+    hard = {hi, *(k for k in (*g_kinks, *kinks) if 0.0 <= k < hi)}
     return np.array(sorted(hard | {q for q in soft if 0.0 < q < hi
                                    and all(abs(q - k) > 1e-9 * q for k in hard)}))
 
@@ -501,9 +501,9 @@ def _cross_mass_rule(model: ConnectionModel, s, n: int) -> np.ndarray:
         lens = (cutoff * cutoff - half * half) / (
             np.sqrt(cutoff * cutoff - (half * np.sin(phi))**2) + half * np.cos(phi))
         return np.exp(-0.5 * s * s) * (-np.expm1(-2.0 * lens * lens) @ w)
-    k = _breaks(model, cutoff)[1:]
+    k = _breaks(model, cutoff)
     table = model.kind == "table"
-    fixed = k if table else _breaks(model, cutoff, soft=cutoff * _HALVES)[1:]
+    fixed = k if table else _breaks(model, cutoff, soft=cutoff * _HALVES)
     flat = s.reshape(-1)
     out = np.zeros(flat.size)
     live = np.flatnonzero(flat < 2.0 * cutoff)  # supports that overlap
@@ -616,10 +616,11 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
     # Past the cutoff 1 - g(s) jumps by g(cutoff), 1 for the unit disk, and
     # the integrand falls off over a layer of width about 1 / (rho r^2):
     # soft breaks halve toward the cutoff, down to that width (`_breaks`)
-    k = _breaks(model, model.cutoff)[1:]
+    k = _breaks(model, model.cutoff)
     layer = model.cutoff * (1.0 + 0.5 ** np.arange(2, math.log2(model.cutoff * mass_scale)))
-    kinks, soft = np.append(k, k + model.cutoff), np.append(model.cutoff * _HALVES, layer)
-    breaks = _breaks(model, s_max, [*kinks, *(period - kinks)], [*soft, *(period - soft)])
+    kinks, soft = k + model.cutoff, np.append(model.cutoff * _HALVES, layer)
+    mirrors = period - np.append(k, kinks)
+    breaks = _breaks(model, s_max, [0.0, *kinks, *mirrors], [*soft, *(period - soft)])
 
     def integral(n: int) -> float:
         s, w = _panels(breaks, n)

@@ -648,17 +648,18 @@ def test_breaks_keep_kinks_and_drop_soft_breaks_next_to_them(data):
     model = data.draw(st.sampled_from([UD, GAUSS, TABLE3, TABLE5]))
     hi = data.draw(st.floats(0.01, 1e40))
     anywhere = st.floats(-1.0, 1.2 * hi)
-    kinks = data.draw(st.lists(anywhere, max_size=6))
-    # the ends, and every kink of g (table knots, cutoff) or of `kinks` inside
-    g_kinks = [*(k for k in model.radii or () if k < model.cutoff), model.cutoff]
-    hard = {0.0, hi, *(k for k in (*g_kinks, *kinks) if 0.0 < k < hi)}
+    # a rule that starts at 0 passes the kink 0
+    kinks = data.draw(st.lists(anywhere, max_size=6)) + data.draw(st.sampled_from([[], [0.0]]))
+    # hi, and every kink of g (table knots, cutoff) or of `kinks` in [0, hi)
+    g_kinks = [*(k for k in model.radii or () if 0.0 < k < model.cutoff), model.cutoff]
+    hard = {hi, *(k for k in (*g_kinks, *kinks) if 0.0 <= k < hi)}
     # soft breaks up to three tolerances from a kink, on either side
     near = st.builds(lambda k, d: k * (1.0 + d) + d, st.sampled_from(sorted(hard)),
                      st.floats(-3e-9, 3e-9))
     soft = data.draw(st.lists(st.one_of(anywhere, near), max_size=12))
     got = theory._breaks(model, hi, kinks, soft)
     assert np.all(np.diff(got) > 0.0)
-    assert got[0] == 0.0 and got[-1] == hi
+    assert got[-1] == hi
     kept = set(got.tolist())
     assert hard <= kept
     for q in set(soft) - hard:
