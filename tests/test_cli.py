@@ -631,6 +631,21 @@ assert "scipy.integrate" not in sys.modules
     assert res.returncode == 0, res.stderr
 
 
+def test_unit_disk_theory_loads_no_scipy(tmp_path, child_env):
+    # the README's Install promise: the unit disk's theory is numpy alone
+    script = """
+import sys
+from rcmsim.cli import main
+assert main(["theory", "--model", "unit_disk", "--rho", "2000", "--b", "0",
+             "--output", sys.argv[1]]) == 0
+loaded = [m for m in ("scipy.special", "scipy.sparse", "scipy.integrate") if m in sys.modules]
+assert not loaded, loaded
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "theory.json")],
+                         capture_output=True, text=True, timeout=120, env=child_env)
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("sigma_db,eta", [(60.0, 1.0), (1000.0, 0.5)])
 def test_extreme_log_normal_exits_model_failure(tmp_path, capsys, sigma_db, eta):
     # a spread with no finite cutoff (and at (1000, 0.5) an overflowing

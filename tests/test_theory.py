@@ -433,6 +433,24 @@ def test_table_square_mean_pinned(model, want):
         assert err <= 1e-9 * value, rho
 
 
+@pytest.mark.parametrize("rho,b,want", [
+    (500.0, 0.0, 2.322092006386687), (2000.0, 0.0, 2.2812933158393545),
+    (1e4, 0.0, 2.2012934062581384), (1e100, 0.0, 1.2336239221186123),
+    (4000.0, 3.0, 0.32588646236653723),
+])
+def test_unit_disk_square_mean_pinned(rho, b, want):
+    # values of the disk's own cap-and-corner closed form, which the
+    # one-piece table g = 1 on [0, 1] now reproduces
+    got, err = expected_isolated(UD, rho, b, Metric.SQUARE, return_error=True)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert err <= 1e-9 * want
+
+
+def test_unit_disk_mean_degree_square_pinned():
+    rep = theory_report(UD, 4000.0, 0.0, Metric.SQUARE)
+    assert rep.mean_degree_square == pytest.approx(8.11405200170292, rel=1e-13)
+
+
 def test_truncated_gaussian_cross_mass_vs_mc():
     # at eps 0.1 the lens of the two cutoff discs cuts (pi/2) e^{-s^2/2}
     # by up to 95% (at s = 2.9, near 2 cutoff = 3.03)
