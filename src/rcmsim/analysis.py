@@ -6,7 +6,7 @@ pass over the stack; a single graph is the batch of one trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,8 @@ def coupled_statistics(coupled: CoupledSample) -> TrialRecord:
 
 
 def stack_records(params: SampleParams, offsets: np.ndarray, edges: np.ndarray,
-                  seam_edges: np.ndarray | None = None) -> list[TrialRecord]:
+                  seam_edges: np.ndarray | None = None,
+                  alone: np.ndarray | None = None) -> list[TrialRecord]:
     """Records of the trials params.trial_index, ... stacked as
     sampler.stack_points stacks them, trial k on the rows offsets[k] ..
     offsets[k + 1] - 1, with edges over the stacked rows as
@@ -73,27 +74,28 @@ def stack_records(params: SampleParams, offsets: np.ndarray, edges: np.ndarray,
     coupled: edges is the square graph, seam_edges holds torus edges
     across the seam, and a node that neither touches is torus-isolated.
     The seam edges need only be complete at the nodes that edges leaves
-    isolated, as sampler.stack_coupled_edges gives them."""
-    n_points = np.diff(offsets)
+    isolated, as sampler.stack_coupled_edges gives them.  alone, the mask
+    of those nodes, is counted here unless given (stack_coupled_edges has
+    it already); with seam_edges it is overwritten."""
+    n_points = np.diff(offsets).tolist()
     # edges are sorted by their first column, so each trial's are a block
     n_edges = np.diff(np.searchsorted(edges[:, 0], offsets.astype(edges.dtype))).tolist()
-    alone = _alone(offsets, edges)
+    if alone is None:
+        alone = _alone(offsets, edges)
     isolated = _isolated(offsets, alone).tolist()
     n_components = _components(offsets, edges).tolist()
-    records = []
-    for k, n in enumerate(n_points.tolist()):
-        m, c = n_edges[k], n_components[k]
-        records.append(TrialRecord(
-            rho=params.rho, b=params.b, metric=params.metric.value,
-            trial=params.trial_index + k, n_points=n, n_edges=m, isolated=isolated[k],
-            n_components=c, connected=c <= 1, mean_degree=(2.0 * m / n) if n else 0.0))
-    if seam_edges is None:
-        return records
-    alone[seam_edges[:, 0]] = False
-    alone[seam_edges[:, 1]] = False
-    return [replace(rec, metric="coupled", isolated_torus=iso_t,
-                    isolated_square=rec.isolated, isolated_boundary=rec.isolated - iso_t)
-            for rec, iso_t in zip(records, _isolated(offsets, alone).tolist())]
+    metric, split = params.metric.value, [{}] * len(n_points)
+    if seam_edges is not None:
+        alone[seam_edges[:, 0]] = False
+        alone[seam_edges[:, 1]] = False
+        metric = "coupled"
+        split = [dict(isolated_torus=t, isolated_square=i, isolated_boundary=i - t)
+                 for i, t in zip(isolated, _isolated(offsets, alone).tolist())]
+    return [TrialRecord(rho=params.rho, b=params.b, metric=metric, trial=params.trial_index + k,
+                        n_points=n, n_edges=m, isolated=i, n_components=c, connected=c <= 1,
+                        mean_degree=(2.0 * m / n) if n else 0.0, **extra)
+            for k, (n, m, i, c, extra) in enumerate(zip(n_points, n_edges, isolated,
+                                                        n_components, split))]
 
 
 def _alone(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:

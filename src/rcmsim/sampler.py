@@ -199,14 +199,15 @@ def stack_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray) -
     return _grid_edges(params, points, offsets, _stack_side(params, points, offsets))
 
 
-def stack_coupled_edges(params: SampleParams, points: np.ndarray,
-                        offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(square edges, seam edges) of the torus trials that stack_points
-    stacks, over the stacked rows and each sorted as stack_edges sorts.
-    The square edges are couple_torus_to_square's.  The seam edges are
-    every seam edge at a lone node, which no square edge touches, and
-    maybe other torus edges (see _grid_edges): a node is torus-isolated
-    exactly when neither list touches it."""
+def stack_coupled_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(square edges, seam edges, lone mask) of the torus trials that
+    stack_points stacks, over the stacked rows and each sorted as
+    stack_edges sorts.  The square edges are couple_torus_to_square's.  The
+    mask marks the lone nodes, which no square edge touches.  The seam
+    edges are every seam edge at a lone node, and maybe other torus edges
+    (see _grid_edges): a node is torus-isolated exactly when neither list
+    touches it."""
     return _grid_edges(params, points, offsets, _stack_side(params, points, offsets), True)
 
 
@@ -336,8 +337,8 @@ def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray, m
     they come, seam runs (see _column_runs) with the fold whenever those
     waiting hold _SLICE_PAIRS candidates, and at the end.
 
-    With split, of torus trials: (square edges, seam edges), each sorted
-    so.  Every seam run waits for the square edges, and only those are
+    With split, of torus trials: (square edges, seam edges, lone mask over
+    the stacked rows), the edges each sorted so.  Every seam run waits for the square edges, and only those are
     realized whose source is lone, touched by no square edge, or whose
     range of targets holds a lone position, as a prefix sum over the lone
     positions in cell order tells; every seam pair at a lone node lies in
@@ -371,12 +372,13 @@ def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray, m
     # a column at a time, as bincount reads int32 through an int64 copy
     degree = np.bincount(square[:, 0], minlength=n)
     degree += np.bincount(square[:, 1], minlength=n)
-    alone = (degree == 0)[order]
+    lone = degree == 0
+    alone = lone[order]
     before = np.concatenate(([0], np.cumsum(alone)))
     at = np.flatnonzero(alone[src] | (before[first + count] > before[first]))
     seam_keys = bytearray()
     expand(src[at], first[at], count[at], True, seam_keys)
-    return square, _sorted_edges(seam_keys, n)
+    return square, _sorted_edges(seam_keys, n), lone
 
 
 def _sorted_edges(keys: bytearray, n: int) -> np.ndarray:

@@ -13,8 +13,9 @@ r = sqrt((log rho + b) / (C rho)):
       integrand), four edge strips (1-D profile), and four corners (2-D),
       all computed in scaled coordinates.  I comes from one function,
       `_visible_mass`, for two adjacent clipping lines: closed form
-      (Owen's T for the Gaussian) but for the log-normal's radial rule at
-      the order of the enclosing rule.
+      (Owen's T for the Gaussian, arc primitives for tables and the unit
+      disk) but for the log-normal's radial rule at the order of the
+      enclosing rule.
   pair correlation of isolation at separation d, which b2 integrates:
       (1 - g(d/r)) * exp(rho * int g(|x|/r) g(|x - d|/r) dx), the cross
       mass int g g closed form for the unit disk, one angular panel over
@@ -56,6 +57,7 @@ table kernel is linear between knots, so the mass it shows inside
 clipping lines has a closed form, its arc terms taken once per knot and
 clipping distance: the square means of tables need no radial rule, and a
 corner node inside the cutoff adds one knot search and two arc primitives.
+The unit disk takes this form as the table of one piece, g = 1 on [0, 1].
 Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
 memory stays small.
 """
@@ -178,20 +180,18 @@ def theory_report(model: ConnectionModel, rho: float, b: float,
 def _radial_moments(model: ConnectionModel) -> tuple[float, float]:
     """(m2, m3), m_k = int_0^cutoff g(u) u^k du.  Gaussian: m2 =
     sqrt(pi) erf(c) / 4 - c e^{-c^2} / 2, m3 = (1 - (1 + c^2) e^{-c^2}) / 2;
-    tables sum their linear pieces.  The log-normal, g = erfc(a ln u) / 2,
+    tables and the unit disk (`_table_pieces`) sum their linear pieces.  The log-normal, g = erfc(a ln u) / 2,
     goes by parts in t = ln u as C does: with p = k + 1 and T = ln cutoff,
     m_k = c^p g(c) / p + e^{p^2 / 4a^2} erfc(p / 2a - a T) / (2 p), where
     the product e^{p^2 / 4a^2} erfc(p / 2a - a T) is formed as
     erfcx(p / 2a - a T) e^{p T - a^2 T^2}, as its first factor alone
     overflows for wide shadowing."""
     c = model.cutoff
-    if model.kind == "unit_disk":
-        return 1.0 / 3.0, 0.25
     if model.kind == "gaussian":
         tail = math.exp(-c * c)
         return (0.25 * math.sqrt(math.pi) * math.erf(c) - 0.5 * c * tail,
                 0.5 * (1.0 - (1.0 + c * c) * tail))
-    if model.kind == "table":
+    if model.kind in ("unit_disk", "table"):
         x, alpha, beta = _table_pieces(model)
         return tuple(float(np.sum(alpha * np.diff(x**(k + 1)) / (k + 1)
                                   + beta * np.diff(x**(k + 2)) / (k + 2))) for k in (2, 3))
@@ -274,13 +274,12 @@ def _visible_mass(model: ConnectionModel, deltas, n: int):
     broadcast together): the full mass, less what lies beyond each line,
     plus what lies beyond both, which each of them took.  With r * cutoff
     <= 1/2 a point of the square meets no other clips.  Closed form but
-    for the log-normal, which takes the radial rule at order n."""
+    for the log-normal, which takes the radial rule at order n; the unit
+    disk goes as the one-piece table (`_table_pieces`)."""
     d1, d2 = deltas
-    if model.kind == "unit_disk":
-        return math.pi - (_disk_cap(d1) + _disk_cap(d2)) + _disk_corner(d1, d2)
     if model.kind == "gaussian":
         return _visible_mass_gaussian(model, d1, d2)
-    if model.kind == "table":
+    if model.kind in ("unit_disk", "table"):
         return _visible_mass_table(model, d1, d2)
     return _visible_mass_rule(model, deltas, n)
 
@@ -336,7 +335,8 @@ def _visible_mass_rule(model: ConnectionModel, deltas, n: int) -> np.ndarray:
 
 
 def _visible_mass_table(model: ConnectionModel, d1, d2) -> np.ndarray:
-    """`_visible_mass` of a table in closed form: the full mass 4 A_0[0],
+    """`_visible_mass` of a table (or the unit disk, its one piece g = 1 on
+    [0, 1]) in closed form: the full mass 4 A_0[0],
     less the arcs 2 A[0] beyond each clipping line (`_arc_suffix` at 0, d1,
     d2), plus their overlap T(d1, h) + T(d2, h) - T(0, h) from h = hypot(d1,
     d2), with T(delta, h) = int_h^cutoff u g(u) arccos(delta / u) du.  With p
@@ -348,11 +348,13 @@ def _visible_mass_table(model: ConnectionModel, d1, d2) -> np.ndarray:
     d2, and E is never broadcast to nodes x knots."""
     x, alpha, beta = _table_pieces(model)
     d1, d2 = np.asarray(d1, dtype=np.float64), np.asarray(d2, dtype=np.float64)
-    zero, zero_end = _arc_suffix(model, 0.0)
+    zero, zero_end = _zero_arcs(model)
     (arcs1, end1), (arcs2, end2) = _arc_suffix(model, d1), _arc_suffix(model, d2)
     out = np.asarray(4.0 * zero[0] - 2.0 * (arcs1[..., 0] + arcs2[..., 0]))
     h = np.hypot(d1, d2)
     near = h < x[-1]
+    if not near.any():
+        return out
     h = h[near]
     p = np.searchsorted(x, h, side="right") - 1
     overlap = math.pi * h * h * (0.25 * alpha[p] + beta[p] * h / 6.0) - zero_end[p]
@@ -366,8 +368,18 @@ def _visible_mass_table(model: ConnectionModel, d1, d2) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _table_pieces(model: ConnectionModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`table_pieces` of a table kernel, cached per model."""
+    """`table_pieces` of a table kernel, cached per model.  The unit disk is
+    the table of one piece, x = (0, 1), alpha = 1, beta = 0."""
+    if model.kind == "unit_disk":
+        return table_pieces((0.0, 1.0), (1.0, 1.0), 1.0)
     return table_pieces(model.radii, model.values, model.cutoff)
+
+
+@lru_cache(maxsize=64)
+def _zero_arcs(model: ConnectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """`_arc_suffix` at delta = 0, which every visible mass takes, cached
+    per model."""
+    return _arc_suffix(model, 0.0)
 
 
 def _arc_parts(v, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +396,7 @@ def _arc_parts(v, delta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _arc_suffix(model: ConnectionModel, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Table kernel: (A, E) with A[..., p] = int u g(u) arccos(delta / u) du
+    """Table kernel or unit disk: (A, E) with A[..., p] = int u g(u) arccos(delta / u) du
     from max(x_p, delta) to the cutoff, p = 0..P (A[..., P] = 0), and
     E[..., p] = A[..., p + 1] + alpha_p P0 + beta_p P1 at max(x_{p+1}, delta),
     the upper end of piece p; the parts are taken once at each of the P + 1
@@ -398,24 +410,6 @@ def _arc_suffix(model: ConnectionModel, delta) -> tuple[np.ndarray, np.ndarray]:
     arcs = np.concatenate([np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1],
                            np.zeros_like(delta)], axis=-1)
     return arcs, arcs[..., 1:] + upper
-
-
-def _disk_cap(delta):
-    """Area of the unit disk beyond a chord at distance delta from center."""
-    d = np.minimum(delta, 1.0)
-    return np.arccos(d) - d * np.sqrt(1.0 - d * d)
-
-
-def _disk_corner(d1, d2):
-    """Area of the unit disk with x >= d1 and y >= d2 (both >= 0), exactly 0
-    for a corner outside the disk, where the closed form leaves ~1e-14."""
-    d2 = np.minimum(d2, 1.0)
-    x_hi = np.sqrt(1.0 - d2 * d2)
-    x_lo = np.minimum(d1, x_hi)
-    # int_{x_lo}^{x_hi} (sqrt(1 - x^2) - d2) dx
-    return np.where(np.hypot(d1, d2) >= 1.0, 0.0,
-                    0.5 * (np.arcsin(x_hi) - np.arcsin(x_lo) - x_lo * np.sqrt(1.0 - x_lo * x_lo)
-                           - x_hi * d2) + d2 * x_lo)
 
 
 def _breaks(model: ConnectionModel, hi: float, kinks=(), soft=()) -> np.ndarray:

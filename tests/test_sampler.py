@@ -488,10 +488,11 @@ def test_coupled_split_edge_by_edge(model):
         p = _params(rho, b, model=model, seed=31)
         pts, offsets = sampler.stack_points(p, 12)
         assert (sampler._stack_side(p, pts, offsets) == 1) == one_cell
-        square, seam = sampler.stack_coupled_edges(p, pts, offsets)
+        square, seam, mask = sampler.stack_coupled_edges(p, pts, offsets)
         direct = sampler.stack_edges(_params(rho, b, Metric.SQUARE, model, 31), pts, offsets)
         assert np.array_equal(square, direct), (rho, model)
         lone = np.bincount(square.ravel(), minlength=pts.shape[0]) == 0
+        assert np.array_equal(mask, lone), (rho, model)
         torus = sampler.stack_edges(p, pts, offsets)
         at_lone = [e[lone[e[:, 0]] | lone[e[:, 1]]] for e in (seam, torus)]
         assert np.array_equal(*at_lone), (rho, model)

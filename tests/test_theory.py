@@ -256,8 +256,8 @@ def test_square_converges_at_low_density_with_cutoff_jump(model):
 
 
 def test_unit_disk_closed_forms_match_generic_path():
-    # caps and the corner overlap in closed form against the radial rule
-    # every other kernel takes
+    # the disk's visible mass, caps and corner overlap, from the one-piece
+    # table's arc closed form against the radial rule the log-normal takes
     inf = math.inf
     cases = [*((d, inf) for d in (0.05, 0.2, 0.6, 0.95)),
              (0.3, 0.5), (0.1, 0.15), (0.7, 0.7), (1.5, 0.0)]
@@ -272,12 +272,11 @@ def test_unit_disk_closed_forms_match_generic_path():
 
 
 def test_unit_disk_corner_beyond_the_disk_is_exactly_zero():
-    # a clip pair whose corner lies outside the disk overlaps nowhere; the
-    # closed form would leave 2.1e-14 here, which the edge layer amplifies
-    # by rho r^2 = 73 at rho 1e100
+    # a clip pair whose corner lies outside the disk overlaps nowhere; a
+    # corner closed form would leave 2.1e-14 here, which the edge layer
+    # amplifies by rho r^2 = 73 at rho 1e100
     inf = math.inf
     cap = math.acos(1e-3) - 1e-3 * math.sqrt(1.0 - 1e-6)
-    assert float(theory._disk_corner(inf, 1e-3)) == 0.0
     assert float(theory._visible_mass(UD, (1e-3, inf), 8)) == pytest.approx(
         math.pi - cap, abs=1e-15)
 
