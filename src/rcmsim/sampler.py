@@ -199,15 +199,14 @@ def stack_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray) -
     return _grid_edges(params, points, offsets, _stack_side(params, points, offsets))
 
 
-def stack_coupled_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stack_coupled_edges(params: SampleParams, points: np.ndarray,
+                        offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(square edges, seam edges, lone mask) of the torus trials that
-    stack_points stacks, over the stacked rows and each sorted as
+    stack_points stacks, edges over the stacked rows and sorted as
     stack_edges sorts.  The square edges are couple_torus_to_square's.  The
-    mask marks the lone nodes, which no square edge touches.  The seam
-    edges are every seam edge at a lone node, and maybe other torus edges
-    (see _grid_edges): a node is torus-isolated exactly when neither list
-    touches it."""
+    seam edges are every seam edge at a lone node, which no square edge
+    touches, and maybe other torus edges (see _grid_edges): a node is
+    torus-isolated exactly when neither list touches it."""
     return _grid_edges(params, points, offsets, _stack_side(params, points, offsets), True)
 
 
@@ -337,19 +336,19 @@ def _grid_edges(params: SampleParams, points: np.ndarray, offsets: np.ndarray, m
     they come, seam runs (see _column_runs) with the fold whenever those
     waiting hold _SLICE_PAIRS candidates, and at the end.
 
-    With split, of torus trials: (square edges, seam edges, lone mask over
-    the stacked rows), the edges each sorted so.  Every seam run waits for the square edges, and only those are
-    realized whose source is lone, touched by no square edge, or whose
-    range of targets holds a lone position, as a prefix sum over the lone
-    positions in cell order tells; every seam pair at a lone node lies in
-    such a run, and coins go by pair.  On the one-cell grid every run is a
-    seam run, and the square edges are those runs unfolded: a pair that
-    folds is more than 1/2 >= reach apart unfolded, where only the exact
-    test can connect it (lo = -1 in every bin past reach), and d <= reach
-    rejects it.  Its lone pass may then realize square edges between nodes
-    that are not lone, which change no count: such a node has a square
-    edge anyway, and a node is torus-isolated exactly when neither list
-    touches it."""
+    With split, of torus trials: (square edges, seam edges, lone mask over the
+    stacked rows), the edges each sorted so.  Every seam run waits for the
+    square edges, and only those are realized whose source is lone, touched by
+    no square edge, or whose range of targets holds a lone position, as a
+    prefix sum over the lone positions in cell order tells; every seam pair at
+    a lone node lies in such a run, and coins go by pair.  On the one-cell
+    grid every run is a seam run, and the square edges are those runs
+    unfolded: a pair that folds is more than 1/2 >= reach apart unfolded,
+    where only the exact test can connect it (lo = -1 in every bin past
+    reach), and d <= reach rejects it.  Its lone pass may then realize square
+    edges between nodes that are not lone, which change no count: such a node
+    has a square edge anyway, and a node is torus-isolated exactly when
+    neither list touches it."""
     n = points.shape[0]
     order, runs, expand = _expand_runs(params, points, offsets, m)
     # a list of seam runs that joins even when the scan gives none

@@ -180,8 +180,9 @@ def theory_report(model: ConnectionModel, rho: float, b: float,
 def _radial_moments(model: ConnectionModel) -> tuple[float, float]:
     """(m2, m3), m_k = int_0^cutoff g(u) u^k du.  Gaussian: m2 =
     sqrt(pi) erf(c) / 4 - c e^{-c^2} / 2, m3 = (1 - (1 + c^2) e^{-c^2}) / 2;
-    tables and the unit disk (`_table_pieces`) sum their linear pieces.  The log-normal, g = erfc(a ln u) / 2,
-    goes by parts in t = ln u as C does: with p = k + 1 and T = ln cutoff,
+    tables and the unit disk (`_table_pieces`) sum their linear pieces.
+    The log-normal, g = erfc(a ln u) / 2, goes by parts in t = ln u as C
+    does: with p = k + 1 and T = ln cutoff,
     m_k = c^p g(c) / p + e^{p^2 / 4a^2} erfc(p / 2a - a T) / (2 p), where
     the product e^{p^2 / 4a^2} erfc(p / 2a - a T) is formed as
     erfcx(p / 2a - a T) e^{p T - a^2 T^2}, as its first factor alone
