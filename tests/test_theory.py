@@ -125,6 +125,15 @@ def test_log_normal_square_is_fast_and_quiet():
     assert value == pytest.approx(2.3943, abs=1e-4)
 
 
+def test_log_normal_square_mean_pinned():
+    # the value of the rule that split every corner row's crossed panel at
+    # the arc hypot(d1, d2) = cutoff, where this g is 1e-12
+    got, err = expected_isolated(log_normal(4.0, 3.0), 2000.0, 0.0, Metric.SQUARE,
+                                 return_error=True)
+    assert got == pytest.approx(2.394321267896277, rel=1e-12)
+    assert err <= 1e-9 * got
+
+
 @pytest.mark.parametrize("model,target", [(GAUSS, 0.892521), (TABLE3, 0.890406),
                                           (DENSE, 0.970675),
                                           (gaussian(cutoff_eps=0.1), 0.874598),
@@ -441,6 +450,18 @@ def test_unit_disk_square_mean_pinned(rho, b, want):
     # values of the disk's own cap-and-corner closed form, which the
     # one-piece table g = 1 on [0, 1] now reproduces
     got, err = expected_isolated(UD, rho, b, Metric.SQUARE, return_error=True)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert err <= 1e-9 * want
+
+
+@pytest.mark.parametrize("rho,want", [
+    (500.0, 2.650753346890013), (2000.0, 2.5712988606526594),
+    (1e4, 2.445888623476411), (1e100, 1.2636353568162852),
+])
+def test_gaussian_square_mean_pinned(rho, want):
+    # values of the rule that split every corner row's crossed panel at the
+    # arc hypot(d1, d2) = cutoff, where the Gaussian's g is 1e-12
+    got, err = expected_isolated(GAUSS, rho, 0.0, Metric.SQUARE, return_error=True)
     assert got == pytest.approx(want, rel=1e-13)
     assert err <= 1e-9 * want
 
