@@ -52,7 +52,9 @@ end smooth.  Each quantity is evaluated at orders n and 2n; the 2n value
 is returned with |Q_2n - Q_n|, floored at 128 eps |Q_2n|, as its error
 once that difference is within 1e-9 of the value (1e-7 for b2; n = 8, 16,
 then 32), else QuadratureError is raised.  The visible mass converges
-with the rule around it, so no convergence loop nests inside another.  A
+with the rule around it, so no convergence loop nests inside another; b2's
+radial cross mass (tables, the log-normal) takes its own order, the lowest
+that the next confirms, and what the next moves adds to b2's error.  A
 table kernel is linear between knots, so the mass it shows inside
 clipping lines has a closed form, its arc terms taken once per knot and
 clipping distance: the square means of tables need no radial rule, and a
@@ -148,9 +150,7 @@ def expected_isolated(model: ConnectionModel, rho: float, b: float,
         value, err = _expected_isolated_square(model, rho, b)
     else:
         raise ParameterError(f"metric must be a Metric, got {metric!r}")
-    if return_error:
-        return value, err
-    return value
+    return (value, err) if return_error else value
 
 
 def theory_report(model: ConnectionModel, rho: float, b: float,
@@ -249,13 +249,15 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
     d, w = _panels(base, n)
     edge = _visible_mass(model, (d, math.inf), n)
     live = np.flatnonzero(np.repeat(corner, n))
-    # the corner overlap sets in on the arc hypot(d1, d2) = cutoff with a
-    # (cutoff - h)^(3/2) kink weighted by g(cutoff): 1 for the unit disk,
-    # else the truncation eps, which a model may set large.  In each row of
-    # d1 the d2 panel the arc crosses is replaced by its two parts.
-    arc = np.sqrt(np.maximum(model.cutoff**2 - d * d, 0.0))
-    crossed = np.clip(np.searchsorted(base, arc, side="right") - 1, 0, base.size - 2)
-    split_d, split_w = _panels(np.stack([base[crossed], arc, base[crossed + 1]], axis=1), n)
+    # the corner overlap sets in on the arc hypot(d1, d2) = cutoff with a kink
+    # of scale `_arc_kink` in the exponent; where that shows at _REL_TOL, each
+    # row of d1 has the d2 panel the arc crosses replaced by its two parts
+    if scale * _arc_kink(model) > _REL_TOL:
+        arc = np.sqrt(np.maximum(model.cutoff**2 - d * d, 0.0))
+        crossed = np.clip(np.searchsorted(base, arc, side="right") - 1, 0, base.size - 2)
+        split_d, split_w = _panels(np.stack([base[crossed], arc, base[crossed + 1]], axis=1), n)
+    else:
+        crossed, (split_d, split_w) = np.full(d.size, -1), _panels(np.zeros((d.size, 1)), n)
     panel = np.repeat(np.arange(base.size - 1), n)
     q_corner = 0.0
     step = max(1, _BLOCK // d.size)
@@ -267,6 +269,12 @@ def _boundary_integrals(model: ConnectionModel, base: np.ndarray, n: int,
         q_corner += w[rows] @ (np.sum(kept * np.exp(-scale * mass), axis=1)
                                + np.sum(split_w[rows] * np.exp(-scale * split), axis=1))
     return w @ np.exp(-scale * edge), q_corner
+
+
+def _arc_kink(model: ConnectionModel) -> float:
+    """g(cutoff) + cutoff |g'(cutoff)|, the slope one-sided over the outer 2^-10 of g's support."""
+    c = model.cutoff
+    return float(model.g(c) + 2.0**10 * abs(model.g(c * (1.0 - 2.0**-10)) - model.g(c)))
 
 
 def _visible_mass(model: ConnectionModel, deltas, n: int):
@@ -617,14 +625,31 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
     mirrors = period - np.append(k, kinks)
     breaks = _breaks(model, s_max, [0.0, *kinks, *mirrors], [*soft, *(period - soft)])
 
+    def cross(s, n: int) -> np.ndarray:
+        return _cross_mass_rule(model, s, n) + _cross_mass_rule(model, period - s, n)
+
+    # a radial cross mass keeps the lowest order that the next moves, at the
+    # panels' midpoints, by mass_scale * spread <= half the tolerance: that
+    # factor exp(mass_scale * spread) on b2 goes to its error
+    radial, spread = None, 0.0
+    if model.kind in ("table", "log_normal"):
+        mid = 0.5 * (breaks[:-1] + breaks[1:])
+        fine = cross(mid, _ORDERS[0])
+        for radial, finer in zip(_ORDERS, _ORDERS[1:]):
+            coarse, fine = fine, cross(mid, finer)
+            spread = float(np.max(np.abs(fine - coarse)))
+            if mass_scale * spread <= 0.5 * _B2_REL_TOL:
+                break
+        else:
+            raise QuadratureError(f"cross mass did not converge at order {finer}", estimate=spread)
+
     def integral(n: int) -> float:
         s, w = _panels(breaks, n)
-        cross = _cross_mass_rule(model, s, n) + _cross_mass_rule(model, period - s, n)
         return w @ (2.0 * math.pi * s * (1.0 - model.g(s))
-                    * np.exp(log_scale - mass_scale * (2.0 * model.C - cross)))
+                    * np.exp(log_scale - mass_scale * (2.0 * model.C - cross(s, radial or n))))
 
     value, err = _converged(integral, "dependence integral", _B2_REL_TOL)
-    return b1, float(value), err
+    return b1, float(value), err + math.expm1(mass_scale * spread) * abs(float(value))
 
 
 # ---------------------------------------------------------------------------

@@ -448,3 +448,37 @@ def mc_square_pair_mass(model, r, n_samples, seed, chunk=1_000_000):
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return mean, math.sqrt(var / n_samples)
+
+
+def b2_radial_order(model, rho, b, epsilon, order):
+    """Chen-Stein b2 with the cross mass X of rcmsim's radial rule
+    (theory._cross_mass_rule) held at rule order `order`:
+    rho^2 r^2 int_0^{2 r^-eps} 2 pi s (1 - g(s))
+    exp(-rho r^2 (2 C - X(s) - X(1/r - s))) ds.  The separations take
+    theory._panels on breaks of their own: every sum and difference of two
+    kinks of g (0, the table knots, the cutoff), their mirrors at the
+    period 1/r, and 16 equal steps, at orders 16 and 32, which must agree
+    to 1e-12."""
+    from rcmsim import theory
+    from rcmsim.models import connection_radius
+
+    cutoff = model.cutoff
+    r = connection_radius(model.C, rho, b)
+    s_max = 2.0 * r ** (-epsilon)
+    period = 1.0 / r
+    mass_scale = rho * r * r
+    kinks = np.array([0.0, *(k for k in model.radii or () if 0.0 < k < cutoff), cutoff])
+    pairs = np.abs(np.concatenate([kinks[:, None] + kinks, kinks[:, None] - kinks]).ravel())
+    points = np.concatenate([pairs, period - pairs, np.linspace(0.0, s_max, 17)])
+    breaks = np.unique(points[(points >= 0.0) & (points <= s_max)])
+
+    def rule(n):
+        s, w = theory._panels(breaks, n)
+        cross = (theory._cross_mass_rule(model, s, order)
+                 + theory._cross_mass_rule(model, period - s, order))
+        return rho * mass_scale * float(w @ (2.0 * math.pi * s * (1.0 - model.g(s))
+                                             * np.exp(-mass_scale * (2.0 * model.C - cross))))
+
+    coarse, fine = rule(16), rule(32)
+    assert abs(fine - coarse) <= 1e-12 * fine, (coarse, fine)
+    return fine

@@ -22,8 +22,8 @@ from rcmsim.models import (connection_radius, gaussian, log_normal,
                            table_model, unit_disk)
 from rcmsim.theory import (ChenSteinParams, TheoryReport, chen_stein_terms,
                            expected_isolated, theory_report, tv_to_poisson)
-from oracles import (gaussian_b2, gaussian_square_mean, lens_area, mc_b2_unit_disk,
-                     mc_cross_mass, mc_disk_mass, mc_lens_area, mc_square_pair_mass,
+from oracles import (b2_radial_order, gaussian_b2, gaussian_square_mean, lens_area,
+                     mc_b2_unit_disk, mc_cross_mass, mc_disk_mass, mc_lens_area, mc_square_pair_mass,
                      mc_visible_mass, poisson_pmf_factorial, quad_cross_mass_table,
                      square_mean_dblquad, unit_disk_square_mean_edge)
 
@@ -113,6 +113,48 @@ def test_skipped_corner_strips_stay_within_reported_error(model, monkeypatch):
         theory._expected_isolated_square.cache_clear()
     assert err <= 1e-9 * value
     assert abs(value - want) <= err
+
+
+def _split_nodes(model, rho, monkeypatch):
+    """The square mean at b 0, and how many d2 nodes of split panels its
+    corner rows handed to _visible_mass, from a cleared cache."""
+    counts, mass = [], theory._visible_mass
+
+    def spy(model, deltas, n):
+        if np.ndim(deltas[1]) == 2:
+            counts.append(np.size(deltas[1]))
+        return mass(model, deltas, n)
+
+    monkeypatch.setattr(theory, "_visible_mass", spy)
+    theory._expected_isolated_square.cache_clear()
+    try:
+        value, err = expected_isolated(model, rho, 0.0, Metric.SQUARE, return_error=True)
+    finally:
+        theory._expected_isolated_square.cache_clear()
+        monkeypatch.setattr(theory, "_visible_mass", mass)
+    return value, err, sum(counts)
+
+
+@pytest.mark.parametrize("model", [UD, TABLE3, TABLE5, DENSE, gaussian(cutoff_eps=0.1)],
+                         ids=["unit-disk", "table3", "table5", "dense", "gaussian-eps0.1"])
+def test_kernels_with_a_kink_on_the_corner_arc_split_its_panel(model, monkeypatch):
+    # g jumps at the cutoff (unit disk, wide truncation) or reaches it with
+    # a slope (tables): the corner overlap kinks on hypot(d1, d2) = cutoff
+    assert _split_nodes(model, 2000.0, monkeypatch)[2] > 0
+
+
+@pytest.mark.parametrize("rho", [500.0, 2000.0, 1e4])
+@pytest.mark.parametrize("model", [GAUSS, log_normal(4.0, 3.0)], ids=["gaussian", "log-normal"])
+def test_unsplit_corner_arc_stays_within_reported_error(model, rho, monkeypatch):
+    # g and its slope are about 1e-11 at the cutoff, so the kink on the arc
+    # is left to the crossed panel's own nodes; splitting it anyway must
+    # move the mean by no more than its error
+    value, err, nodes = _split_nodes(model, rho, monkeypatch)
+    assert nodes == 0
+    monkeypatch.setattr(theory, "_arc_kink", lambda model: 1.0)
+    split, _, nodes = _split_nodes(model, rho, monkeypatch)
+    assert nodes > 0
+    assert abs(value - split) <= err
 
 
 def test_log_normal_square_is_fast_and_quiet():
@@ -559,6 +601,26 @@ def test_log_normal_chen_stein_converges():
     b1, b2 = chen_stein_terms(log_normal(4.0, 3.0), 2000.0, 0.0)
     assert b1 > 0.0
     assert b2 == pytest.approx(0.1188696530, rel=1e-7)
+
+
+@pytest.mark.parametrize("rho", [500.0, 2000.0, 1e4])
+@pytest.mark.parametrize("model", [TABLE3, TABLE5, log_normal(4.0, 3.0)],
+                         ids=["table3", "table5", "log-normal"])
+def test_b2_error_covers_its_radial_order(model, rho, monkeypatch):
+    # the radial cross mass keeps one order through b2's separation
+    # doubling; b2's error must cover the b2 of the next order, on
+    # separation panels of the oracle's own
+    orders, rule = [], theory._cross_mass_rule
+    monkeypatch.setattr(theory, "_cross_mass_rule",
+                        lambda model, s, n: orders.append(n) or rule(model, s, n))
+    theory._chen_stein.cache_clear()
+    try:
+        b1, b2, err = chen_stein_terms(model, rho, 0.0, return_error=True)
+    finally:
+        theory._chen_stein.cache_clear()
+        monkeypatch.setattr(theory, "_cross_mass_rule", rule)
+    finer = theory._ORDERS[theory._ORDERS.index(orders[-1]) + 1]
+    assert abs(b2 - b2_radial_order(model, rho, 0.0, 0.25, finer)) <= err <= 1e-7 * b2
 
 
 def test_chen_stein_five_knot_table_is_fast():
