@@ -53,15 +53,14 @@ is returned with |Q_2n - Q_n|, floored at 128 eps |Q_2n|, as its error
 once that difference is within 1e-9 of the value (1e-7 for b2; n = 8, 16,
 then 32), else QuadratureError is raised.  The visible mass converges
 with the rule around it, so no convergence loop nests inside another; b2's
-radial cross mass (tables, the log-normal) takes its own order, the lowest
-that the next confirms, and what the next moves adds to b2's error.  A
-table kernel is linear between knots, so the mass it shows inside
-clipping lines has a closed form, its arc terms taken once per knot and
-clipping distance: the square means of tables need no radial rule, and a
-corner node inside the cutoff adds one knot search and two arc primitives.
-The unit disk takes this form as the table of one piece, g = 1 on [0, 1].
-Large grids are evaluated in blocks of about 2^15 nodes, so the scratch
-memory stays small.
+radial cross mass (tables, the log-normal) keeps the lowest order the next
+confirms, and b2's error takes the move.  A table kernel is linear between
+knots, so the mass it shows inside clipping lines has a closed form, its
+arc terms taken once per knot and clipping distance: the square means of
+tables need no radial rule, and a corner node inside the cutoff adds one
+knot search and two arc primitives.  The unit disk takes this form as the
+table of one piece, g = 1 on [0, 1].  Large grids are evaluated in blocks
+of about 2^15 nodes, so the scratch memory stays small.
 """
 
 from __future__ import annotations
@@ -150,7 +149,9 @@ def expected_isolated(model: ConnectionModel, rho: float, b: float,
         value, err = _expected_isolated_square(model, rho, b)
     else:
         raise ParameterError(f"metric must be a Metric, got {metric!r}")
-    return (value, err) if return_error else value
+    if return_error:
+        return value, err
+    return value
 
 
 def theory_report(model: ConnectionModel, rho: float, b: float,
@@ -628,9 +629,8 @@ def _chen_stein(model: ConnectionModel, rho: float, b: float,
     def cross(s, n: int) -> np.ndarray:
         return _cross_mass_rule(model, s, n) + _cross_mass_rule(model, period - s, n)
 
-    # a radial cross mass keeps the lowest order that the next moves, at the
-    # panels' midpoints, by mass_scale * spread <= half the tolerance: that
-    # factor exp(mass_scale * spread) on b2 goes to its error
+    # a radial cross mass keeps the lowest order that the next moves by
+    # mass_scale * spread <= tol / 2 at the panels' midpoints; b2's error takes that
     radial, spread = None, 0.0
     if model.kind in ("table", "log_normal"):
         mid = 0.5 * (breaks[:-1] + breaks[1:])
